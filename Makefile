@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-smoke bench-json bench-explore explore-smoke explore-par-smoke obs-smoke conformance scale-smoke rmw-smoke wire-smoke explain-smoke experiments examples clean outputs
+.PHONY: all build test bench bench-smoke bench-json bench-explore perf explore-smoke explore-par-smoke obs-smoke conformance scale-smoke rmw-smoke wire-smoke explain-smoke experiments examples clean outputs
 
 all: build
 
@@ -26,6 +26,14 @@ bench-json:
 # BENCH_explore.json.
 bench-explore:
 	dune exec bench/main.exe -- --json-explore BENCH_explore.json
+
+# The repository benchmark (BENCHMARK.json, perfbench/README.md): each
+# workload for 30 s on seed 1, untraced; each prints its end-to-end
+# metrics and ends with one JSON result line.
+perf:
+	python3 perfbench/run.py --workload scale_push --seed 1 --seconds 30 --trace 0
+	python3 perfbench/run.py --workload random_mix --seed 1 --seconds 30 --trace 0
+	python3 perfbench/run.py --workload explore_walks --seed 1 --seconds 30 --trace 0
 
 # Time-boxed schedule exploration of the example programs plus the
 # built-in get/put scenario. A smaller version of the racy/pingpong
@@ -70,9 +78,10 @@ obs-smoke:
 	dune exec bin/dsmcheck.exe -- run --scenario fig5a --trace-out /tmp/dsmcheck_fig5a_trace.json
 	dune exec bin/dsmcheck.exe -- explore getput --runs 25 --jobs 2 --metrics
 
-# Cross-representation conformance: adaptive epoch, always-dense and
-# sparse clocks must be observably identical over hundreds of random
-# schedules, and batched coherence must leave race verdicts untouched.
+# Cross-representation conformance: the adaptive sparse clocks and the
+# always-dense oracle must be observably identical over hundreds of
+# random schedules, and batched coherence must leave race verdicts
+# untouched.
 # Also runs as part of `dune runtest`.
 conformance:
 	dune exec test/test_conformance.exe

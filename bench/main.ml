@@ -147,16 +147,25 @@ let bench_checked_ops name transport =
        (checked_workload ~op:`Put ~len:1
           ~config:{ Config.default with Config.transport }))
 
-let bench_checked ~op ~transport ~granularity ~clock_rep =
+(* Rows that pin a clock representation name it; rows without one run
+   the default configuration and carry no suffix. *)
+let rep_suffix = function
+  | None -> ""
+  | Some Config.Dense_vector -> "_dense"
+  | Some Config.Sparse_vector -> "_sparse"
+
+let with_rep ?clock_rep config =
+  match clock_rep with
+  | None -> config
+  | Some clock_rep -> { config with Config.clock_rep }
+
+let bench_checked ~op ~transport ~granularity ?clock_rep () =
   let opname = match op with `Put -> "put" | `Get -> "get" in
   let name =
     Printf.sprintf "checked_%s_%s_%s%s" opname
       (Config.transport_name transport)
       (Config.granularity_name granularity)
-      (match clock_rep with
-      | Config.Epoch_adaptive -> ""
-      | Config.Dense_vector -> "_dense"
-      | Config.Sparse_vector -> "_sparse")
+      (rep_suffix clock_rep)
   in
   (* len-4 accesses so block/word granularity exercises multi-granule
      walks (4 granules per access under [Word]). *)
@@ -164,26 +173,23 @@ let bench_checked ~op ~transport ~granularity ~clock_rep =
     (Staged.stage
        (checked_workload ~op ~len:4
           ~config:
-            { Config.default with Config.transport; granularity; clock_rep }))
+            (with_rep ?clock_rep
+               { Config.default with Config.transport; granularity })))
 
 (* The paper's common case: one producer repeatedly publishing into a
    shared variable nobody else touches. Every clock involved stays an
    epoch, so the whole check is O(1) comparisons with no allocation —
    the ablation pins clocks dense to measure what the epoch buys. *)
-let bench_single_writer ~n ~clock_rep =
+let bench_single_writer ~n ?clock_rep () =
   let name =
-    Printf.sprintf "single_writer_64_puts_n%d%s" n
-      (match clock_rep with
-      | Config.Epoch_adaptive -> ""
-      | Config.Dense_vector -> "_dense"
-      | Config.Sparse_vector -> "_sparse")
+    Printf.sprintf "single_writer_64_puts_n%d%s" n (rep_suffix clock_rep)
   in
   Test.make ~name
     (Staged.stage (fun () ->
          let m = Harness.fresh_machine ~n () in
          let d =
            Dsm_core.Detector.create m
-             ~config:{ Config.default with Config.clock_rep }
+             ~config:(with_rep ?clock_rep Config.default)
              ()
          in
          let a =
@@ -203,14 +209,8 @@ let bench_single_writer ~n ~clock_rep =
    O(n) clocks everywhere while sparse pays O(active) — the gap the
    scale_n* rows track. Small segments keep machine construction from
    dominating at n = 1024. *)
-let bench_scale ~n ~clock_rep =
-  let name =
-    Printf.sprintf "scale_n%d%s" n
-      (match clock_rep with
-      | Config.Epoch_adaptive -> ""
-      | Config.Dense_vector -> "_dense"
-      | Config.Sparse_vector -> "_sparse")
-  in
+let bench_scale ~n ?clock_rep () =
+  let name = Printf.sprintf "scale_n%d%s" n (rep_suffix clock_rep) in
   Test.make ~name
     (Staged.stage (fun () ->
          let sim = Dsm_sim.Engine.create ~seed:1 () in
@@ -222,12 +222,12 @@ let bench_scale ~n ~clock_rep =
          let d =
            Dsm_core.Detector.create m
              ~config:
-               {
-                 Config.default with
-                 Config.clock_rep;
-                 granularity = Config.Word;
-                 store_shards = 8;
-               }
+               (with_rep ?clock_rep
+                  {
+                    Config.default with
+                    Config.granularity = Config.Word;
+                    store_shards = 8;
+                  })
              ()
          in
          let env = Dsm_pgas.Env.checked d in
@@ -408,23 +408,22 @@ let detector_tests =
        bench_vc_compare_epoch 64;
        bench_vc_compare_mixed 64;
        bench_vc_merge_epoch_into_vec 64;
-       bench_single_writer ~n:4 ~clock_rep:Config.Epoch_adaptive;
-       bench_single_writer ~n:4 ~clock_rep:Config.Dense_vector;
-       bench_single_writer ~n:16 ~clock_rep:Config.Epoch_adaptive;
-       bench_single_writer ~n:16 ~clock_rep:Config.Dense_vector;
-       bench_scale ~n:8 ~clock_rep:Config.Epoch_adaptive;
-       bench_scale ~n:8 ~clock_rep:Config.Sparse_vector;
-       bench_scale ~n:64 ~clock_rep:Config.Dense_vector;
-       bench_scale ~n:64 ~clock_rep:Config.Sparse_vector;
-       bench_scale ~n:256 ~clock_rep:Config.Dense_vector;
-       bench_scale ~n:256 ~clock_rep:Config.Sparse_vector;
-       bench_scale ~n:1024 ~clock_rep:Config.Sparse_vector;
+       bench_single_writer ~n:4 ();
+       bench_single_writer ~n:4 ~clock_rep:Config.Dense_vector ();
+       bench_single_writer ~n:16 ();
+       bench_single_writer ~n:16 ~clock_rep:Config.Dense_vector ();
+       bench_scale ~n:8 ();
+       bench_scale ~n:64 ~clock_rep:Config.Dense_vector ();
+       bench_scale ~n:64 ~clock_rep:Config.Sparse_vector ();
+       bench_scale ~n:256 ~clock_rep:Config.Dense_vector ();
+       bench_scale ~n:256 ~clock_rep:Config.Sparse_vector ();
+       bench_scale ~n:1024 ~clock_rep:Config.Sparse_vector ();
        bench_checked ~op:`Get ~transport:Config.Piggyback_txn
-         ~granularity:Config.Variable ~clock_rep:Config.Epoch_adaptive;
+         ~granularity:Config.Variable ();
        bench_checked ~op:`Get ~transport:Config.Piggyback_txn
-         ~granularity:Config.Variable ~clock_rep:Config.Dense_vector;
+         ~granularity:Config.Variable ~clock_rep:Config.Dense_vector ();
        bench_checked ~op:`Put ~transport:Config.Piggyback_txn
-         ~granularity:Config.Variable ~clock_rep:Config.Dense_vector;
+         ~granularity:Config.Variable ~clock_rep:Config.Dense_vector ();
        bench_rmw_fetch_add;
        bench_rmw_lock_emulation;
      ]
@@ -432,8 +431,7 @@ let detector_tests =
         (fun transport ->
           List.map
             (fun granularity ->
-              bench_checked ~op:`Put ~transport ~granularity
-                ~clock_rep:Config.Epoch_adaptive)
+              bench_checked ~op:`Put ~transport ~granularity ())
             granularities)
         transports)
 

@@ -322,24 +322,17 @@ let workload_cmd =
 
 (* ---------- scale ---------- *)
 
+let rep_name = function
+  | Config.Dense_vector -> "dense"
+  | Config.Sparse_vector -> "sparse"
+
 let rep_conv =
   let parse = function
-    | "epoch" -> Ok Config.Epoch_adaptive
     | "dense" -> Ok Config.Dense_vector
     | "sparse" -> Ok Config.Sparse_vector
     | s -> Error (`Msg (Printf.sprintf "unknown clock representation %S" s))
   in
-  let print ppf = function
-    | Config.Epoch_adaptive -> Format.pp_print_string ppf "epoch"
-    | Config.Dense_vector -> Format.pp_print_string ppf "dense"
-    | Config.Sparse_vector -> Format.pp_print_string ppf "sparse"
-  in
-  Arg.conv (parse, print)
-
-let rep_name = function
-  | Config.Epoch_adaptive -> "epoch"
-  | Config.Dense_vector -> "dense"
-  | Config.Sparse_vector -> "sparse"
+  Arg.conv (parse, fun ppf r -> Format.pp_print_string ppf (rep_name r))
 
 let wire_conv =
   let parse = function
@@ -485,7 +478,9 @@ let scale_cmd =
       value
       & opt rep_conv Config.Sparse_vector
       & info [ "rep" ] ~docv:"REP"
-          ~doc:"Clock representation: epoch, dense, or sparse.")
+          ~doc:
+            "Clock representation: sparse (adaptive: epoch, then sorted \
+             pairs, then dense) or dense (the always-vector ablation).")
   in
   let shards =
     Arg.(
@@ -647,9 +642,15 @@ let run_program path scenario n model instrument detect verbose trace_out
   | None, Some name ->
       run_figure name n model detect verbose trace_out metrics explain
         race_report
-  | Some path, None ->
-      run_source path n model instrument detect verbose trace_out metrics
-        explain race_report
+  | Some path, None -> (
+      try
+        run_source path n model instrument detect verbose trace_out metrics
+          explain race_report
+      with
+      | Dsm_sim.Engine.Process_failure
+          (proc, Dsm_lang.Exec.Runtime_error msg) ->
+          (* a fault of the program, not of the tool *)
+          `Error (false, Printf.sprintf "%s: %s" proc msg))
 
 let run_cmd =
   let doc =

@@ -60,7 +60,7 @@ let decode_vector_sparse w =
     a.(pid) <- tick;
     prev := pid
   done;
-  Vector_clock.of_array_rep Vector_clock.Sparse a
+  Vector_clock.of_array a
 
 let encode_matrix m =
   let n = Matrix_clock.dim m in

@@ -1,20 +1,24 @@
-(* Adaptive representation: a clock that has only ever been advanced by a
-   single process is kept as a compact {e epoch} — the FastTrack-style
-   [(pid, count)] pair, denoting the vector that is [count] at [pid] and 0
-   elsewhere — and is promoted on the first cross-process merge or tick.
+(* The representation is adaptive: a clock that has only ever been
+   advanced by a single process is kept as a compact {e epoch} — the
+   FastTrack-style [(pid, count)] pair, denoting the vector that is
+   [count] at [pid] and 0 elsewhere — and is promoted on the first
+   cross-process merge or tick.
    The common single-writer access then costs O(1) and allocates nothing,
    while the abstract value (and hence every detection verdict) is
    identical to the dense representation.
 
-   Where the promotion lands is the clock's [rep] policy:
-   - [Adaptive]: epoch -> dense [int array] (the PR-1 behavior);
-   - [Dense]: a dense array from birth — the always-vector ablation;
-   - [Sparse]: epoch -> sorted parallel [(pid, tick)] arrays holding only
-     the nonzero components, and only past [threshold] active entries on
-     to a dense array. Compare/merge on two sparse operands is a merge
-     scan over the sorted pids — O(active), not O(n) — which is what lets
-     detection scale past the paper's ~10 processes (§5.1) without
-     shrinking the worst-case clock below Charron-Bost's n entries (§4.3).
+   The clock's [rep] policy fixes the forms it may take:
+   - [Sparse] (the adaptive policy): epoch -> sorted parallel
+     [(pid, tick)] arrays holding only the nonzero components -> a dense
+     [int array] once more than [threshold] entries are live.
+     Compare/merge on two sparse operands is a merge scan over the sorted
+     pids — O(active), not O(n) — which is what lets detection scale past
+     the paper's ~10 processes (§5.1) without shrinking the worst-case
+     clock below Charron-Bost's n entries (§4.3). The pairs stage is
+     skipped (threshold 0: epoch -> dense) where its two arrays would
+     not be smaller than the dense one, i.e. for n <= 10;
+   - [Dense]: a dense array from birth — the always-vector ablation and
+     the test oracle.
 
    Mode encoding: [vec != no_vec] means dense; otherwise [sparse_on]
    separates sparse from epoch. The sparse key/value arrays are retained
@@ -23,7 +27,7 @@
    [pid = 0]. Sparse values are always positive: zero components are
    simply absent. *)
 
-type rep = Adaptive | Dense | Sparse
+type rep = Dense | Sparse
 
 type t = {
   mutable pid : int;  (* epoch owner; meaningful only in epoch mode *)
@@ -34,7 +38,7 @@ type t = {
   mutable nactive : int;  (* live entries in keys/vals *)
   mutable keys : int array;  (* sorted pids; == no_vec until allocated *)
   mutable vals : int array;  (* ticks, parallel to keys; all > 0 *)
-  threshold : int;  (* sparse -> dense promotion bound *)
+  threshold : int;  (* sparse -> dense promotion bound; 0 = no pairs *)
   rep : rep;
 }
 
@@ -44,6 +48,12 @@ let no_vec : int array = [||]
    paying for themselves against a flat array — promote. Exposed so the
    promotion-boundary tests can aim exactly at it. *)
 let sparse_threshold ~n = max 4 (n / 8)
+
+(* The pairs stage pays only where its two arrays, [2 (threshold + 1)]
+   words, are smaller than the dense array's [n] — from n = 11 on. *)
+let pairs_threshold rep ~n =
+  let k = sparse_threshold ~n in
+  if rep = Sparse && 2 * (k + 1) < n then k else 0
 
 let is_dense t = t.vec != no_vec
 
@@ -64,15 +74,13 @@ let create_rep rep ~n =
     nactive = 0;
     keys = no_vec;
     vals = no_vec;
-    threshold = sparse_threshold ~n;
+    threshold = pairs_threshold rep ~n;
     rep;
   }
 
-let create ~n = create_rep Adaptive ~n
+let create ~n = create_rep Sparse ~n
 
 let create_dense ~n = create_rep Dense ~n
-
-let create_sparse ~n = create_rep Sparse ~n
 
 let dim t = t.dim
 
@@ -117,7 +125,7 @@ let promote t =
     t.vec <- v
   end
 
-(* Epoch -> sparse (Sparse rep only): carry the epoch entry over. *)
+(* Epoch -> sparse pairs: carry the epoch entry over. *)
 let promote_sparse t =
   sparse_ensure_arrays t;
   t.nactive <- 0;
@@ -128,9 +136,9 @@ let promote_sparse t =
   end;
   t.sparse_on <- true
 
-(* Where a cross-process epoch promotion lands under this policy. *)
-let promote_cross t =
-  match t.rep with Sparse -> promote_sparse t | Adaptive | Dense -> promote t
+(* Where a cross-process epoch promotion lands: the pairs stage when
+   this clock has one. *)
+let promote_cross t = if t.threshold > 0 then promote_sparse t else promote t
 
 (* Set component [p] to [v] ([> 0], at least the current value) in sparse
    mode, inserting and dense-promoting past the threshold as needed. *)
@@ -201,8 +209,8 @@ let copy t =
   }
 
 (* Adopt the compact representation [a] warrants under rep [rep]:
-   <=1 nonzero -> epoch; <= threshold nonzeros under [Sparse] -> sorted
-   pairs; otherwise dense. *)
+   <=1 nonzero -> epoch; <= threshold nonzeros -> sorted pairs;
+   otherwise dense. *)
 let of_array_rep rep a =
   let n = Array.length a in
   if n = 0 then invalid_arg "Vector_clock.of_array: empty";
@@ -222,7 +230,7 @@ let of_array_rep rep a =
     end;
     t
   end
-  else if rep = Sparse && !nonzeros <= t.threshold then begin
+  else if !nonzeros <= t.threshold then begin
     sparse_ensure_arrays t;
     let k = ref 0 in
     for i = 0 to n - 1 do
@@ -242,7 +250,7 @@ let of_array_rep rep a =
   end
 
 let of_array ?(dense = false) a =
-  of_array_rep (if dense then Dense else Adaptive) a
+  of_array_rep (if dense then Dense else Sparse) a
 
 let entry c i =
   if i < 0 || i >= c.dim then invalid_arg "Vector_clock.entry";
@@ -250,8 +258,6 @@ let entry c i =
   else if is_sparse c then sparse_get c i
   else if i = c.pid then c.count
   else 0
-
-let to_array t = Array.init t.dim (entry t)
 
 let is_zero c =
   if is_dense c then Array.for_all (fun x -> x = 0) c.vec
@@ -560,10 +566,6 @@ let snapshot = copy
 let reset t =
   match t.rep with
   | Dense -> Array.fill t.vec 0 t.dim 0
-  | Adaptive ->
-      t.pid <- 0;
-      t.count <- 0;
-      t.vec <- no_vec
   | Sparse ->
       (* keys/vals keep their capacity: a warmed-up scratch clock never
          allocates again *)
@@ -595,7 +597,7 @@ let load_words t w ~off =
     t.pid <- (if !nonzeros = 1 then !last else 0);
     t.count <- (if !nonzeros = 1 then w.(off + !last) else 0)
   end
-  else if t.rep = Sparse && !nonzeros <= t.threshold then begin
+  else if !nonzeros <= t.threshold then begin
     t.vec <- no_vec;
     sparse_ensure_arrays t;
     let k = ref 0 in
@@ -631,6 +633,13 @@ let store_words t w ~off =
     else if t.count > 0 then w.(off + t.pid) <- t.count
   end
 
+(* O(n + active), not an [entry] lookup per component: a sparse clock's
+   lookups are binary searches. *)
+let to_array t =
+  let a = Array.make t.dim 0 in
+  store_words t a ~off:0;
+  a
+
 let merge_words ~into w ~off =
   check_slice into w off "merge_words";
   let nonzeros = ref 0 and last = ref 0 in
@@ -644,26 +653,18 @@ let merge_words ~into w ~off =
   done;
   if !nonzeros = 0 then ()
   else if !nonzeros = 1 then bump into !last w.(off + !last)
-  else if is_dense into || (!nonzeros > into.threshold && into.rep = Sparse)
-  then begin
+  else if is_dense into || !nonzeros > into.threshold then begin
     promote into;
     let v = into.vec in
     for i = 0 to into.dim - 1 do
       if w.(off + i) > v.(i) then v.(i) <- w.(off + i)
     done
   end
-  else if into.rep = Sparse then
-    (* stays within the sparse budget: bump each nonzero component *)
+  else
+    (* stays within the pairs budget: bump each nonzero component *)
     for i = 0 to into.dim - 1 do
       if w.(off + i) > 0 then bump into i w.(off + i)
     done
-  else begin
-    promote into;
-    let v = into.vec in
-    for i = 0 to into.dim - 1 do
-      if w.(off + i) > v.(i) then v.(i) <- w.(off + i)
-    done
-  end
 
 let pp ppf c =
   Format.pp_print_char ppf '<';

@@ -22,44 +22,41 @@
     paths; the abstract value, and therefore every detection verdict, is
     identical to the dense representation.
 
-    Where the promotion lands is the clock's {!rep} policy. [Adaptive]
-    promotes straight to a dense array. [Sparse] promotes to sorted
-    parallel [(pid, tick)] arrays holding only the nonzero components —
+    Where the promotion lands is the clock's {!rep} policy. [Sparse],
+    the adaptive policy of {!create}, promotes to sorted parallel
+    [(pid, tick)] arrays holding only the nonzero components —
     compare/merge become merge scans over the sorted pids, O(active
     writers) instead of O(n) — and promotes again to the dense array
-    once more than {!sparse_threshold} components are live. [Dense] is
-    the always-vector ablation baseline (see {!Config.clock_rep} in
-    [dsm_core]). All three policies denote the same abstract vector:
-    every observable result is representation-independent. *)
+    once more than {!sparse_threshold} components are live. The pairs
+    stage is used only where its two arrays, [2 (sparse_threshold n + 1)]
+    words, are smaller than the dense array's [n] words — from [n = 11]
+    on; below that an epoch promotes straight to the dense array.
+    [Dense] is the always-vector ablation baseline and test oracle (see
+    {!Config.clock_rep} in [dsm_core]). Both policies denote the same
+    abstract vector: every observable result is
+    representation-independent. *)
 
 type t
 
-type rep = Adaptive | Dense | Sparse
+type rep = Dense | Sparse
 (** The promotion policy fixed at creation; see the module preamble. *)
 
 val create : n:int -> t
 (** [create ~n] is the zero clock of dimension [n] (all entries 0 —
-    the paper's initial value, §4.2), in the adaptive representation. *)
+    the paper's initial value, §4.2), under the adaptive [Sparse]
+    policy. *)
 
 val create_dense : n:int -> t
 (** Like {!create}, but pinned to the dense array representation for the
     clock's whole lifetime. *)
 
-val create_sparse : n:int -> t
-(** Like {!create}, but cross-process promotion lands on the sorted
-    sparse pairs (and on the dense array only past {!sparse_threshold}
-    live components) — the large-[n] scaling representation. *)
-
-val create_rep : rep -> n:int -> t
-(** {!create}/{!create_dense}/{!create_sparse} selected by value. *)
-
 val rep : t -> rep
 (** The clock's promotion policy. *)
 
 val sparse_threshold : n:int -> int
-(** Number of live components beyond which a [Sparse] clock of dimension
-    [n] promotes to the dense array ([max 4 (n/8)]) — exposed so tests
-    can aim at the promotion boundary exactly. *)
+(** Number of live components beyond which a clock of dimension [n] in
+    the pairs stage promotes to the dense array ([max 4 (n/8)]) —
+    exposed so tests can aim at the promotion boundary exactly. *)
 
 val dim : t -> int
 (** Number of processes the clock covers. *)
@@ -67,12 +64,10 @@ val dim : t -> int
 val copy : t -> t
 
 val of_array : ?dense:bool -> int array -> t
-(** [of_array a] wraps a copy of [a]. Raises [Invalid_argument] if [a] is
-    empty or contains a negative entry. *)
-
-val of_array_rep : rep -> int array -> t
-(** {!of_array} under an explicit policy; the value adopts the most
-    compact form the policy allows (epoch, sparse pairs, dense). *)
+(** [of_array a] wraps a copy of [a] under the [Sparse] policy (the
+    [Dense] one with [~dense:true]), in the most compact form the policy
+    allows (epoch, sparse pairs, dense). Raises [Invalid_argument] if [a]
+    is empty or contains a negative entry. *)
 
 val to_array : t -> int array
 (** Fresh array with the clock's entries — the wire representation. *)
@@ -138,8 +133,7 @@ val snapshot : t -> t
 
 val reset : t -> unit
 (** Zero every component in place, restoring the compact epoch
-    representation when the clock is adaptive or sparse. O(1) for those
-    policies (a sparse clock's pair arrays keep their capacity, so a
+    representation under the [Sparse] policy. O(1) for that policy (a sparse clock's pair arrays keep their capacity, so a
     warmed-up scratch clock never allocates again); the scratch-buffer
     discipline of the detector's hot path ([Detector.check_access])
     relies on this being cheap. *)
@@ -148,7 +142,7 @@ val load_words : t -> int array -> off:int -> unit
 (** [load_words c w ~off] overwrites [c] with the [dim c] words at
     [w.(off) ..] — the allocation-free counterpart of {!of_array} used to
     decode clocks arriving on the wire into a scratch clock. Re-derives
-    the compact representation when the clock is adaptive. Raises
+    the compact representation under the [Sparse] policy. Raises
     [Invalid_argument] on a short slice or negative entry. *)
 
 val store_words : t -> int array -> off:int -> unit

@@ -46,13 +46,12 @@ type t = {
   mutable registered : Addr.region list; (* address-sorted *)
 }
 
-let mk_clock rep ~n =
+let make_clock rep ~n =
   match rep with
-  | Config.Epoch_adaptive -> Vector_clock.create ~n
   | Config.Dense_vector -> Vector_clock.create_dense ~n
-  | Config.Sparse_vector -> Vector_clock.create_sparse ~n
+  | Config.Sparse_vector -> Vector_clock.create ~n
 
-let create ~node ~clock_dim ~granularity ?(rep = Config.Epoch_adaptive)
+let create ~node ~clock_dim ~granularity ?(rep = Config.Sparse_vector)
     ?(shards = 1) () =
   if clock_dim < 1 then invalid_arg "Clock_store.create: clock_dim";
   if shards < 1 || shards land (shards - 1) <> 0 then
@@ -67,7 +66,7 @@ let create ~node ~clock_dim ~granularity ?(rep = Config.Epoch_adaptive)
       Array.init shards (fun _ ->
           {
             table = Int_tbl.create 64;
-            scratch = mk_clock rep ~n:clock_dim;
+            scratch = make_clock rep ~n:clock_dim;
           });
     registered = [];
   }
@@ -148,7 +147,7 @@ let entry_at t ~offset ~len =
   match Int_tbl.find_opt table key with
   | Some e -> e
   | None ->
-      let mk () = mk_clock t.rep ~n:t.clock_dim in
+      let mk () = make_clock t.rep ~n:t.clock_dim in
       let e = { v = mk (); w = mk (); s = mk () } in
       Int_tbl.add table key e;
       e

@@ -38,6 +38,11 @@ type entry = {
 
 type t
 
+val make_clock : Config.clock_rep -> n:int -> Dsm_clocks.Vector_clock.t
+(** The zero clock of dimension [n] in representation [rep] — the one
+    place a {!Config.clock_rep} picks a clock constructor; every clock
+    the detector owns is made here. *)
+
 val create :
   node:int ->
   clock_dim:int ->
@@ -47,7 +52,7 @@ val create :
   unit ->
   t
 (** [clock_dim] is the vector dimension ([n], or 1 in the Lamport
-    ablation). [rep] (default {!Config.Epoch_adaptive}) fixes the
+    ablation). [rep] (default {!Config.Sparse_vector}) fixes the
     representation of every lazily created clock. [shards] (default 1)
     is the number of address-range shards; must be a positive power of
     two ([Invalid_argument] otherwise). *)

@@ -4,7 +4,7 @@ type clock_mode = Vector | Lamport_only
 
 type granularity = Variable | Block of int | Word
 
-type clock_rep = Epoch_adaptive | Dense_vector | Sparse_vector
+type clock_rep = Dense_vector | Sparse_vector
 
 type clock_wire = Dense_wire | Sparse_wire | Delta_wire
 
@@ -30,7 +30,7 @@ let default =
     transport = Piggyback_txn;
     clock_mode = Vector;
     granularity = Variable;
-    clock_rep = Epoch_adaptive;
+    clock_rep = Sparse_vector;
     clock_wire = Delta_wire;
     store_shards = 8;
     record_trace = false;
@@ -55,22 +55,6 @@ let clock_wire_name = function
   | Dense_wire -> "dense"
   | Sparse_wire -> "sparse"
   | Delta_wire -> "delta"
-
-let name t =
-  Printf.sprintf "%s%s/%s/%s%s%s%s"
-    (match t.clock_mode with Vector -> "vector" | Lamport_only -> "lamport")
-    (if t.use_write_clock then "+W" else "")
-    (transport_name t.transport)
-    (granularity_name t.granularity)
-    (match t.clock_rep with
-    | Epoch_adaptive -> ""
-    | Dense_vector -> "/dense"
-    | Sparse_vector -> "/sparse")
-    (match t.clock_wire with
-    | Delta_wire -> ""
-    | (Dense_wire | Sparse_wire) as w -> "/wire=" ^ clock_wire_name w)
-    (if t.memory_model = Dsm_rdma.Model.default then ""
-     else "/model=" ^ Dsm_rdma.Model.name t.memory_model)
 
 let validate t =
   (match t.granularity with

@@ -34,22 +34,20 @@ type granularity =
   | Word              (** one clock pair per word: finest, costliest *)
 
 type clock_rep =
-  | Epoch_adaptive
-      (** clocks start as compact FastTrack-style [(pid, count)] epochs
-          and promote to dense vectors on the first cross-process merge:
-          the common single-writer access costs O(1) and allocates
-          nothing. Semantically transparent — detection results are
-          identical to {!Dense_vector} *)
   | Dense_vector
-      (** always-vector ablation baseline: every clock is a dense
-          dimension-[n] array from birth, as in the paper's cost model *)
+      (** always-vector ablation baseline and test oracle: every clock is
+          a dense dimension-[n] array from birth, as in the paper's cost
+          model *)
   | Sparse_vector
-      (** large-[n] scaling representation: cross-process promotion lands
-          on sorted [(pid, tick)] pairs — compare/merge cost O(active
-          writers), not O(n) — and only past
-          [Vector_clock.sparse_threshold] live components on a dense
-          array. Semantically transparent, like {!Epoch_adaptive}; the
-          conformance suite holds all three representations to identical
+      (** the adaptive representation (the default): clocks start as
+          compact FastTrack-style [(pid, count)] epochs — the common
+          single-writer access costs O(1) and allocates nothing — and a
+          cross-process merge promotes them to sorted [(pid, tick)]
+          pairs (compare/merge O(active writers), not O(n)), then past
+          [Vector_clock.sparse_threshold] live components to a dense
+          array. The pairs stage is skipped for n <= 10, where it would
+          not be smaller than the dense array. Semantically transparent:
+          the conformance suite holds both representations to identical
           verdicts *)
 
 type clock_wire =
@@ -125,11 +123,6 @@ type t = {
 }
 
 val default : t
-
-val name : t -> string
-(** Compact descriptor for bench tables, e.g. ["vector+W/piggyback/var"];
-    the {!clock_rep} ablation appends ["/dense"], a non-default
-    {!memory_model} appends ["/model=<name>"]. *)
 
 val transport_name : transport -> string
 

@@ -90,6 +90,13 @@ let merge_entry (mh : Dsm_rdma.Model.hooks) (e : Clock_store.entry) cls clock
       if wrote then Vector_clock.merge_into ~into:e.w clock;
       if mh.rmw_acquires_order then Vector_clock.merge_into ~into:e.s clock
 
+(* The offline trace mirrors S: the issuer's history at the point it is
+   released into S becomes a release point for those words. *)
+let record_rmw_release t ~pid ~target =
+  match t.recorder with
+  | None -> ()
+  | Some rec_ -> Recorder.rmw_release rec_ ~pid ~target
+
 let install_control_plane t =
   Machine.set_control_handler t.machine ~tag:vget_tag
     (fun ~node ~origin:_ words ->
@@ -102,13 +109,18 @@ let install_control_plane t =
       Vector_clock.store_words e.s reply ~off:(2 * t.dim);
       Some reply);
   Machine.set_control_handler t.machine ~tag:vput_tag
-    (fun ~node ~origin:_ words ->
+    (fun ~node ~origin words ->
       let e =
         Clock_store.entry_at t.stores.(node) ~offset:words.(0) ~len:words.(1)
       in
       (if words.(2) = s_release_code then begin
-         if t.mh.rmw_acquires_order then
-           Vector_clock.merge_words ~into:e.s words ~off:3
+         if t.mh.rmw_acquires_order then begin
+           Vector_clock.merge_words ~into:e.s words ~off:3;
+           record_rmw_release t ~pid:origin
+             ~target:
+               (Addr.region ~pid:node ~space:Addr.Public ~offset:words.(0)
+                  ~len:words.(1))
+         end
        end
        else
          match class_of_code words.(2) with
@@ -149,12 +161,7 @@ let create machine ?config ?(verbose = false) () =
     | Config.Lamport_only -> 1
   in
   let rep = config.Config.clock_rep in
-  let mk () =
-    match rep with
-    | Config.Epoch_adaptive -> Vector_clock.create ~n:dim
-    | Config.Dense_vector -> Vector_clock.create_dense ~n:dim
-    | Config.Sparse_vector -> Vector_clock.create_sparse ~n:dim
-  in
+  let mk () = Clock_store.make_clock rep ~n:dim in
   let clock_array () = Array.init n (fun _ -> mk ()) in
   let t =
     {
@@ -730,6 +737,9 @@ let release_rmw_history t p ~(region : Addr.region) =
     | Config.Explicit_txn -> node <> pid
     | Config.Inline | Config.Piggyback_txn -> false
   in
+  (* a remote explicit release is recorded where it lands, in the vput
+     handler *)
+  if not remote_explicit then record_rmw_release t ~pid ~target:region;
   Clock_store.iter_granules store region ~f:(fun ~offset ~len ->
       if remote_explicit then begin
         let payload = Array.make (3 + t.dim) 0 in
@@ -826,12 +836,7 @@ let lock_clock t (r : Addr.region) =
   match Hashtbl.find_opt t.lock_clocks r with
   | Some c -> c
   | None ->
-      let c =
-        match t.config.Config.clock_rep with
-        | Config.Dense_vector -> Vector_clock.create_dense ~n:t.dim
-        | Config.Epoch_adaptive -> Vector_clock.create ~n:t.dim
-        | Config.Sparse_vector -> Vector_clock.create_sparse ~n:t.dim
-      in
+      let c = Clock_store.make_clock t.config.Config.clock_rep ~n:t.dim in
       Hashtbl.add t.lock_clocks r c;
       c
 

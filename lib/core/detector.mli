@@ -194,4 +194,5 @@ val storage_words : t -> int
 val epoch_clocks : t -> int
 (** How many clocks (per-datum and per-process) are currently held in
     the compact epoch representation — the fraction of the clock
-    population the {!Config.Epoch_adaptive} fast path is winning on. *)
+    population the {!Config.Sparse_vector} epoch fast path is winning
+    on. *)

@@ -56,7 +56,10 @@ let lex input =
         while !i < n && match input.[!i] with '0' .. '9' -> true | _ -> false do
           incr i
         done;
-        emit (INT (int_of_string (String.sub input start (!i - start))))
+        let digits = String.sub input start (!i - start) in
+        (match int_of_string_opt digits with
+        | Some v -> emit (INT v)
+        | None -> error ~line:!line "integer literal %s is too large" digits)
     | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
         let start = !i in
         while

@@ -35,8 +35,18 @@ val access :
   unit ->
   int
 (** Records one access and returns its event id. A [Read] picks up
-    reads-from edges to the last writer of every word it covers; a
-    [Write] becomes the last writer of its words. *)
+    reads-from edges to the last writer of every word it covers, and to
+    the words' RMW release points; a [Write] becomes the last writer of
+    its words. An [Atomic_update] reads like a [Read] but synchronizes
+    with the release points — they order the update itself, the NIC's
+    RMW serialization — and then becomes both a writer and a release
+    point of its words. *)
+
+val rmw_release : t -> pid:int -> target:Dsm_memory.Addr.region -> unit
+(** [rmw_release t ~pid ~target] marks [pid]'s latest event as an RMW
+    release point on [target]'s words: the online detector released the
+    process's history into the words' S clocks ahead of an atomic
+    update. Records no event. *)
 
 val lock_acquire : t -> time:float -> pid:int -> lock:string -> int
 (** Ordered after the previous {!lock_release} of the same lock name. *)

@@ -4,15 +4,17 @@ type t = {
   n : int;
   events : Event.t array;
   preds : int list array;
+  sync : int list array; (* the preds that also order the event itself *)
   clocks : int array array; (* HB vector clock per event *)
   own_seq : int array; (* event's own component within its process *)
   prog_pred : int array; (* program-order predecessor id, or -1 *)
 }
 
-let build ~n ~events ~preds =
+let build ~n ~events ~preds ?(sync = Array.make (Array.length preds) []) ()
+    =
   if n < 1 then invalid_arg "Trace.build: n must be positive";
   let m = Array.length events in
-  if Array.length preds <> m then
+  if Array.length preds <> m || Array.length sync <> m then
     invalid_arg "Trace.build: preds length differs from events";
   Array.iteri
     (fun i e ->
@@ -23,7 +25,7 @@ let build ~n ~events ~preds =
         (fun j ->
           if j < 0 || j >= i then
             invalid_arg "Trace.build: edge does not point backwards")
-        preds.(i))
+        (sync.(i) @ preds.(i)))
     events;
   let clocks = Array.make m [||] in
   let own_seq = Array.make m 0 in
@@ -42,13 +44,14 @@ let build ~n ~events ~preds =
     if last_of_pid.(p) >= 0 then absorb last_of_pid.(p);
     prog_pred.(i) <- last_of_pid.(p);
     List.iter absorb preds.(i);
+    List.iter absorb sync.(i);
     seq.(p) <- seq.(p) + 1;
     vc.(p) <- seq.(p);
     clocks.(i) <- vc;
     own_seq.(i) <- seq.(p);
     last_of_pid.(p) <- i
   done;
-  { n; events; preds; clocks; own_seq; prog_pred }
+  { n; events; preds; sync; clocks; own_seq; prog_pred }
 
 let n t = t.n
 
@@ -74,12 +77,15 @@ let concurrent t a b =
 type race_pair = { first : Event.access; second : Event.access }
 
 (* The pair cannot race iff [first] is in the causal past of [second]'s
-   program predecessor — i.e. of [second]'s clock before it absorbs its
-   own incoming reads-from edges. Observation is not synchronization. *)
+   program predecessor or of one of its synchronization predecessors —
+   i.e. of [second]'s clock before it absorbs its own incoming reads-from
+   edges. Observation is not synchronization. *)
+let covers t ~first q = q >= 0 && (q = first || happens_before t first q)
+
 let race_ordered t ~first ~second =
   if first >= second then invalid_arg "Trace.race_ordered: first >= second";
-  let q = t.prog_pred.(second) in
-  q >= 0 && happens_before t first q
+  covers t ~first t.prog_pred.(second)
+  || List.exists (covers t ~first) t.sync.(second)
 
 let races t =
   (* Bucket accesses by the node owning the target, then test pairs within
@@ -132,7 +138,7 @@ let hb_path t ~src ~dst =
       else begin
         let preds =
           (if t.prog_pred.(e) >= 0 then [ t.prog_pred.(e) ] else [])
-          @ t.preds.(e)
+          @ t.sync.(e) @ t.preds.(e)
         in
         List.iter
           (fun p ->
@@ -157,9 +163,13 @@ let explain t ~first ~second =
   let render e = Format.asprintf "%a" Event.pp t.events.(e) in
   if race_ordered t ~first ~second then begin
     line "ordered: %s" (render first);
-    (* The chain runs to [second]'s program predecessor — the clock the
+    (* The chain runs to [second]'s program predecessor or the
+       synchronization predecessor that orders it — the clock the
        algorithm compares (observation is not synchronization). *)
-    let q = t.prog_pred.(second) in
+    let q =
+      if covers t ~first t.prog_pred.(second) then t.prog_pred.(second)
+      else List.find (covers t ~first) t.sync.(second)
+    in
     (match hb_path t ~src:first ~dst:q with
     | Some path ->
         List.iter (fun e -> if e <> first then line "  -> %s" (render e)) path
@@ -211,7 +221,12 @@ let to_dot t =
         (fun j ->
           Buffer.add_string buf
             (Printf.sprintf "  e%d -> e%d [style=dashed];\n" j i))
-        t.preds.(i))
+        t.preds.(i);
+      List.iter
+        (fun j ->
+          Buffer.add_string buf
+            (Printf.sprintf "  e%d -> e%d [style=bold];\n" j i))
+        t.sync.(i))
     t.events;
   Buffer.add_string buf "}\n";
   Buffer.contents buf

@@ -5,7 +5,10 @@
     - value flow: a read is ordered after every write whose value it
       observed ([reads-from] edges supplied by the recorder),
     - lock order: a release is ordered before the next acquire of the same
-      lock, and
+      lock,
+    - RMW serialization: an atomic update is ordered after every RMW
+      release on the words it covers ([sync] edges supplied by the
+      recorder — the online detector's S clock), and
     - barriers: every exit of generation [g] is ordered after every enter
       of generation [g].
 
@@ -20,11 +23,20 @@
 
 type t
 
-val build : n:int -> events:Event.t array -> preds:int list array -> t
-(** [build ~n ~events ~preds] assembles a trace. [events.(i)] must have id
-    [i]; [preds.(i)] are the {e extra} (non-program-order) predecessor ids
-    of event [i], each [< i]. Raises [Invalid_argument] if an invariant is
-    broken. Normally called by [Recorder.finish], not directly. *)
+val build :
+  n:int ->
+  events:Event.t array ->
+  preds:int list array ->
+  ?sync:int list array ->
+  unit ->
+  t
+(** [build ~n ~events ~preds ()] assembles a trace. [events.(i)] must
+    have id [i]; [preds.(i)] are the {e extra} (non-program-order)
+    predecessor ids of event [i], each [< i] — observation edges, which
+    order only the event's successors. [sync.(i)] (default: none) are
+    synchronization predecessors, which also order event [i] itself for
+    race purposes. Raises [Invalid_argument] if an invariant is broken.
+    Normally called by [Recorder.finish], not directly. *)
 
 val n : t -> int
 (** Number of processes. *)
@@ -51,7 +63,7 @@ val concurrent : t -> int -> int -> bool
 type race_pair = { first : Event.access; second : Event.access }
 (** A ground-truth race: conflicting accesses, [first.id < second.id],
     such that [first] is not ordered before [second]'s {e program
-    predecessor}. The program-predecessor formulation matters for pairs
+    predecessor} (nor before one of its synchronization predecessors). The program-predecessor formulation matters for pairs
     connected by a reads-from edge: a read that observes a concurrent
     write is {e racing} with it — the observation itself is not
     synchronization; it only orders the reader's {e subsequent} events.
@@ -63,9 +75,9 @@ val races : t -> race_pair list
 (** All ground-truth races, ordered by [(second.id, first.id)]. *)
 
 val race_ordered : t -> first:int -> second:int -> bool
-(** [race_ordered t ~first ~second] iff [first] happens-before [second]'s
-    program predecessor (so the pair cannot race). [first < second]
-    required. *)
+(** [race_ordered t ~first ~second] iff [first] is, or happens-before,
+    [second]'s program predecessor or one of its synchronization
+    predecessors (so the pair cannot race). [first < second] required. *)
 
 val racy_access_ids : t -> (int, unit) Hashtbl.t
 (** The set of access ids participating in at least one race. *)

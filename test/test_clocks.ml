@@ -229,14 +229,14 @@ let test_sparse_lifecycle () =
   let n = 64 in
   let thr = Vector_clock.sparse_threshold ~n in
   Alcotest.(check bool) "threshold scales with n" true (thr >= 4 && thr < n);
-  let c = Vector_clock.create_sparse ~n in
+  let c = Vector_clock.create ~n in
   Alcotest.(check bool) "born epoch" true (Vector_clock.is_epoch c);
   Vector_clock.tick c ~me:9;
   Vector_clock.tick c ~me:9;
   Alcotest.(check bool) "single-writer ticks stay epoch" true
     (Vector_clock.is_epoch c);
   (* a second pid promotes to the sorted-pairs form, not to dense *)
-  let other = Vector_clock.create_sparse ~n in
+  let other = Vector_clock.create ~n in
   Vector_clock.tick other ~me:40;
   Vector_clock.merge_into ~into:c other;
   Alcotest.(check bool) "second pid lands sparse" true
@@ -246,14 +246,14 @@ let test_sparse_lifecycle () =
   Alcotest.(check int) "active entries" 2 (Vector_clock.active_entries c);
   (* fill to the threshold: still sparse; one past: promoted to dense *)
   for pid = 0 to thr - 3 do
-    let o = Vector_clock.create_sparse ~n in
+    let o = Vector_clock.create ~n in
     Vector_clock.tick o ~me:pid;
     Vector_clock.merge_into ~into:c o
   done;
   Alcotest.(check int) "at threshold" thr (Vector_clock.active_entries c);
   Alcotest.(check bool) "at threshold still sparse" true
     (Vector_clock.is_sparse c);
-  let o = Vector_clock.create_sparse ~n in
+  let o = Vector_clock.create ~n in
   Vector_clock.tick o ~me:50;
   Vector_clock.merge_into ~into:c o;
   Alcotest.(check bool) "past threshold promoted to dense" false
@@ -267,35 +267,59 @@ let test_sparse_lifecycle () =
   Alcotest.(check bool) "policy survives reset" true
     (Vector_clock.rep c = Vector_clock.Sparse)
 
+(* Clocks over n = 16 processes, the given leading entries and zeros
+   after them: wide enough (n >= 11) for the sorted-pairs stage. *)
+let mk16 l =
+  Vector_clock.of_array
+    (Array.of_list (l @ List.init (16 - List.length l) (fun _ -> 0)))
+
+(* The pairs stage is used only where its two arrays are smaller than the
+   dense one: a cross-process merge lands dense at n = 10, on sorted
+   pairs at n = 11. *)
+let test_pairs_rule () =
+  let cross n =
+    let c = Vector_clock.create ~n in
+    Vector_clock.tick c ~me:0;
+    Vector_clock.tick c ~me:1;
+    c
+  in
+  Alcotest.(check bool) "n = 10 promotes to dense" false
+    (Vector_clock.is_sparse (cross 10) || Vector_clock.is_epoch (cross 10));
+  Alcotest.(check bool) "n = 11 promotes to pairs" true
+    (Vector_clock.is_sparse (cross 11));
+  Alcotest.(check bool) "of_array follows the rule" true
+    ((not (Vector_clock.is_sparse (Vector_clock.of_array [| 1; 2; 0; 0 |])))
+    && Vector_clock.is_sparse (mk16 [ 1; 2 ]))
+
 let test_sparse_merge_scan () =
   (* interleaved active pids exercise every branch of the merge scan:
      left-only, right-only, and both-present components *)
-  let mk l = Vector_clock.of_array_rep Vector_clock.Sparse (Array.of_list l) in
-  let a = mk [ 0; 5; 0; 3; 0; 0; 1; 0 ] in
-  let b = mk [ 2; 0; 0; 7; 0; 4; 0; 0 ] in
+  let a = mk16 [ 0; 5; 0; 3; 0; 0; 1; 0 ] in
+  let b = mk16 [ 2; 0; 0; 7; 0; 4; 0; 0 ] in
+  Alcotest.(check bool) "operands in the pairs stage" true
+    (Vector_clock.is_sparse a && Vector_clock.is_sparse b);
   let m = Vector_clock.merge a b in
   Alcotest.(check (array int)) "merge scan"
-    [| 2; 5; 0; 7; 0; 4; 1; 0 |]
+    (Vector_clock.to_array (mk16 [ 2; 5; 0; 7; 0; 4; 1; 0 ]))
     (Vector_clock.to_array m);
   Vector_clock.merge_into ~into:a b;
   Alcotest.(check (array int)) "merge_into scan"
-    [| 2; 5; 0; 7; 0; 4; 1; 0 |]
+    (Vector_clock.to_array (mk16 [ 2; 5; 0; 7; 0; 4; 1; 0 ]))
     (Vector_clock.to_array a)
 
 let test_sparse_compare_cases () =
-  let mk l = Vector_clock.of_array_rep Vector_clock.Sparse (Array.of_list l) in
-  let x = mk [ 1; 0; 2; 0 ] in
-  let y = mk [ 1; 0; 3; 0 ] in
-  let z = mk [ 0; 4; 0; 0 ] in
+  let x = mk16 [ 1; 0; 2; 0 ] in
+  let y = mk16 [ 1; 0; 3; 0 ] in
+  let z = mk16 [ 0; 4; 0; 0 ] in
   Alcotest.(check bool) "before" true
     (Order.equal Order.Before (Vector_clock.compare x y));
   Alcotest.(check bool) "after" true
     (Order.equal Order.After (Vector_clock.compare y x));
   Alcotest.(check bool) "concurrent" true (Vector_clock.concurrent x z);
   Alcotest.(check bool) "equal" true
-    (Order.equal Order.Equal (Vector_clock.compare x (mk [ 1; 0; 2; 0 ])));
+    (Order.equal Order.Equal (Vector_clock.compare x (mk16 [ 1; 0; 2; 0 ])));
   (* mixed representations compare the same abstract vector *)
-  let xd = Vector_clock.of_array ~dense:true [| 1; 0; 2; 0 |] in
+  let xd = Vector_clock.of_array ~dense:true (Vector_clock.to_array x) in
   Alcotest.(check bool) "sparse vs dense" true
     (Order.equal Order.Before (Vector_clock.compare xd y))
 
@@ -376,24 +400,25 @@ let prop_varint_at_least_one_byte_per_entry =
     arb_vc_pair (fun (a, _) ->
       Bytes.length (Codec.encode_vector_varint a) >= Vector_clock.dim a + 1)
 
-(* Adaptive ≡ dense: the same random history applied to an adaptive and a
+(* Sparse ≡ dense: the same random history applied to an adaptive and a
    dense clock yields abstractly equal clocks at every step, and the two
    representations of the same value compare identically against any
    third clock — representation must never leak into a verdict. *)
 
 type clock_op = Tick of int | Merge of int array | Reset
 
-let gen_ops n =
+(* [entry] draws each component of a merged clock. *)
+let gen_ops ?(entry = QCheck.Gen.int_bound 5) n =
   QCheck.Gen.(
     list_size (int_range 1 12)
       (frequency
          [
            (4, int_bound (n - 1) >|= fun p -> Tick p);
-           (3, array_size (return n) (int_bound 5) >|= fun a -> Merge a);
+           (3, array_size (return n) entry >|= fun a -> Merge a);
            (1, return Reset);
          ]))
 
-let arb_history =
+let arb_history ?entry ~lo ~hi () =
   let print (n, ops) =
     Printf.sprintf "n=%d " n
     ^ String.concat ";"
@@ -408,16 +433,17 @@ let arb_history =
          ops)
   in
   QCheck.make ~print
-    QCheck.Gen.(int_range 1 6 >>= fun n -> pair (return n) (gen_ops n))
+    QCheck.Gen.(int_range lo hi >>= fun n -> pair (return n) (gen_ops ?entry n))
 
 let apply_op c = function
   | Tick p -> Vector_clock.tick c ~me:p
   | Merge a -> Vector_clock.merge_into ~into:c (Vector_clock.of_array a)
   | Reset -> Vector_clock.reset c
 
+(* n <= 10: the adaptive clock promotes an epoch straight to dense. *)
 let prop_adaptive_equals_dense =
   QCheck.Test.make ~name:"adaptive history = dense history" ~count:500
-    arb_history (fun (n, ops) ->
+    (arb_history ~lo:1 ~hi:6 ()) (fun (n, ops) ->
       let a = Vector_clock.create ~n in
       let d = Vector_clock.create_dense ~n in
       List.for_all
@@ -428,10 +454,15 @@ let prop_adaptive_equals_dense =
           && Vector_clock.to_array a = Vector_clock.to_array d)
         ops)
 
+(* n >= 11, mostly-zero merges: the history runs through the sorted-pairs
+   stage and across its promotion threshold. *)
 let prop_sparse_equals_dense =
   QCheck.Test.make ~name:"sparse history = dense history" ~count:500
-    arb_history (fun (n, ops) ->
-      let s = Vector_clock.create_sparse ~n in
+    (arb_history
+       ~entry:QCheck.Gen.(frequency [ (5, return 0); (1, int_range 1 5) ])
+       ~lo:11 ~hi:16 ())
+    (fun (n, ops) ->
+      let s = Vector_clock.create ~n in
       let d = Vector_clock.create_dense ~n in
       List.for_all
         (fun op ->
@@ -772,6 +803,7 @@ let () =
             test_sparse_lifecycle;
           Alcotest.test_case "merge scan" `Quick test_sparse_merge_scan;
           Alcotest.test_case "compare cases" `Quick test_sparse_compare_cases;
+          Alcotest.test_case "pairs only from n = 11" `Quick test_pairs_rule;
         ] );
       ("vector-properties", qsuite);
       ( "matrix",

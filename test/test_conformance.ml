@@ -1,6 +1,6 @@
-(* Cross-representation conformance: the three clock representations
-   (adaptive epoch, always-dense vector, sparse) must be observably
-   identical — same race set, same message trace, same memory — over
+(* Cross-representation conformance: the two clock representations
+   (the adaptive sparse one and the always-dense oracle) must be
+   observably identical — same race set, same message trace, same memory — over
    hundreds of randomized schedules; and batched coherence must be
    detection-invisible: the racy-granule set of an explored workload is
    bit-identical whether or not the transport coalesces. *)
@@ -16,7 +16,7 @@ module Explore = Dsm_explore.Explore
 module Probe = Dsm_obs.Probe
 
 (* ------------------------------------------------------------------ *)
-(* Part 1: dense = epoch = sparse over randomized schedules.           *)
+(* Part 1: sparse = dense over randomized schedules.                   *)
 (* ------------------------------------------------------------------ *)
 
 type fingerprint = {
@@ -127,12 +127,7 @@ let run_once ~clock_rep ~n ~seed ~ops () =
              Dsm_clocks.Vector_clock.to_string (Detector.proc_clock d pid)));
   }
 
-let reps =
-  [
-    ("epoch", Config.Epoch_adaptive);
-    ("dense", Config.Dense_vector);
-    ("sparse", Config.Sparse_vector);
-  ]
+let reps = [ ("dense", Config.Dense_vector); ("sparse", Config.Sparse_vector) ]
 
 let check_conformant ~n ~seed ~ops =
   match
@@ -152,7 +147,8 @@ let check_conformant ~n ~seed ~ops =
       ref_fp
   | [] -> assert false
 
-(* Directed small-n seeds: mostly-epoch clocks, the adaptive fast path. *)
+(* Directed small-n seeds: mostly-epoch clocks, the adaptive fast path
+   (n = 4 promotes epochs straight to dense). *)
 let test_conformance_directed () =
   List.iter
     (fun seed ->
@@ -162,9 +158,10 @@ let test_conformance_directed () =
         0 fp.violations)
     [ 1; 2; 3; 5; 8; 13; 21; 34; 55; 89; 144; 233; 377; 610; 987 ]
 
-(* Directed promotion-boundary seeds: n = 16 with threshold max 4 (n/8)
-   = 4, so any clock with five active components has been promoted to
-   dense storage mid-run — sparse must survive the round trip. *)
+(* Directed promotion-boundary seeds: n = 16 runs the sorted-pairs stage
+   with threshold max 4 (n/8) = 4, so any clock with five active
+   components has been promoted to dense storage mid-run — sparse must
+   survive the round trip. *)
 let test_conformance_promotion () =
   List.iter
     (fun seed -> ignore (check_conformant ~n:16 ~seed ~ops:8))
@@ -172,17 +169,16 @@ let test_conformance_promotion () =
 
 (* Randomized schedules. Together with the directed cases above and the
    batched differential below, the suite covers > 500 schedules; each
-   QCheck case is one schedule compared across all three
-   representations. *)
+   QCheck case is one schedule compared across both representations. *)
 let prop_conformant_small =
-  QCheck.Test.make ~name:"epoch = dense = sparse (n=4)" ~count:380
+  QCheck.Test.make ~name:"sparse = dense (n=4)" ~count:380
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 1_000 2_000_000))
     (fun seed ->
       ignore (check_conformant ~n:4 ~seed ~ops:8);
       true)
 
 let prop_conformant_wide =
-  QCheck.Test.make ~name:"epoch = dense = sparse (n=12, past threshold)"
+  QCheck.Test.make ~name:"sparse = dense (n=12, past threshold)"
     ~count:50
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 1_000 2_000_000))
     (fun seed ->

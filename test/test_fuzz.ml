@@ -22,7 +22,7 @@ type fingerprint = {
 
 (* One random run: 4 processes × [ops] random operations (put / get /
    fetch_add / cas / mutex-protected RMW) over 3 shared variables. *)
-let run_once ?(clock_rep = Config.Epoch_adaptive) ~seed ~ops () =
+let run_once ?(clock_rep = Config.default.Config.clock_rep) ~seed ~ops () =
   let sim = Engine.create ~seed () in
   let latency =
     Dsm_net.Latency.Jittered
@@ -131,13 +131,13 @@ let test_fuzz_seed_sensitive () =
   let b = run_once ~seed:2 ~ops:12 () in
   Alcotest.(check bool) "different seeds differ" true (a <> b)
 
-(* The epoch fast path must be invisible: the always-vector ablation run
-   of the same program yields a bit-identical fingerprint — including the
-   rendered race set with both clocks of every signal. *)
-let test_fuzz_epoch_dense_equivalent () =
+(* The adaptive representation must be invisible: the always-vector
+   ablation run of the same program yields a bit-identical fingerprint —
+   including the rendered race set with both clocks of every signal. *)
+let test_fuzz_sparse_dense_equivalent () =
   List.iter
     (fun seed ->
-      let a = run_once ~clock_rep:Config.Epoch_adaptive ~seed ~ops:14 () in
+      let a = run_once ~clock_rep:Config.Sparse_vector ~seed ~ops:14 () in
       let b = run_once ~clock_rep:Config.Dense_vector ~seed ~ops:14 () in
       Alcotest.(check string)
         (Printf.sprintf "seed %d race set" seed)
@@ -147,11 +147,11 @@ let test_fuzz_epoch_dense_equivalent () =
         true (a = b))
     [ 3; 14; 15; 92; 65; 35 ]
 
-let prop_epoch_dense_equivalent =
-  QCheck.Test.make ~name:"epoch = dense on random traces" ~count:40
+let prop_sparse_dense_equivalent =
+  QCheck.Test.make ~name:"sparse = dense on random traces" ~count:40
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 101 1_000_000))
     (fun seed ->
-      run_once ~clock_rep:Config.Epoch_adaptive ~seed ~ops:10 ()
+      run_once ~clock_rep:Config.Sparse_vector ~seed ~ops:10 ()
       = run_once ~clock_rep:Config.Dense_vector ~seed ~ops:10 ())
 
 (* --- Sparse wire codec fuzz (ISSUE 5): round-trip + rejection. ------ *)
@@ -171,13 +171,13 @@ let check_roundtrip name c =
 
 let test_codec_sparse_directed () =
   (* empty *)
-  let zero = Vector_clock.create_sparse ~n:8 in
+  let zero = Vector_clock.create ~n:16 in
   check_roundtrip "zero clock" zero;
   Alcotest.(check int)
     "zero clock ships headers only" 2
     (Array.length (Codec.encode_vector_sparse zero));
   (* single entry *)
-  let single = Vector_clock.create_sparse ~n:8 in
+  let single = Vector_clock.create ~n:16 in
   Vector_clock.tick single ~me:3;
   check_roundtrip "single entry" single;
   Alcotest.(check int)
@@ -188,9 +188,9 @@ let test_codec_sparse_directed () =
      care which side of the boundary it is on) *)
   let n = 32 in
   let thr = Vector_clock.sparse_threshold ~n in
-  let at = Vector_clock.create_sparse ~n in
+  let at = Vector_clock.create ~n in
   for pid = 0 to thr - 1 do
-    let other = Vector_clock.create_sparse ~n in
+    let other = Vector_clock.create ~n in
     Vector_clock.tick other ~me:pid;
     Vector_clock.merge_into ~into:at other
   done;
@@ -198,14 +198,14 @@ let test_codec_sparse_directed () =
     (Vector_clock.is_sparse at);
   check_roundtrip "at promotion threshold" at;
   let past = Vector_clock.copy at in
-  let other = Vector_clock.create_sparse ~n in
+  let other = Vector_clock.create ~n in
   Vector_clock.tick other ~me:thr;
   Vector_clock.merge_into ~into:past other;
   Alcotest.(check bool) "past threshold promoted" false
     (Vector_clock.is_sparse past);
   check_roundtrip "past promotion threshold" past;
   (* max pid *)
-  let last = Vector_clock.create_sparse ~n:64 in
+  let last = Vector_clock.create ~n:64 in
   Vector_clock.tick last ~me:63;
   check_roundtrip "max-pid entry" last;
   (* rejection: truncated, padded, and corrupted buffers all raise *)
@@ -240,7 +240,7 @@ let prop_codec_sparse_roundtrip =
         Array.init n (fun _ ->
             if Prng.int g 4 = 0 then 1 + Prng.int g 1_000 else 0)
       in
-      let c = Vector_clock.of_array_rep Vector_clock.Sparse a in
+      let c = Vector_clock.of_array a in
       let w = Codec.encode_vector_sparse c in
       Array.length w <= (2 * n) + 2
       && Vector_clock.equal c (Codec.decode_vector_sparse w))
@@ -362,9 +362,9 @@ let () =
         ] );
       ( "clock-rep",
         [
-          Alcotest.test_case "epoch = dense (directed seeds)" `Quick
-            test_fuzz_epoch_dense_equivalent;
-          QCheck_alcotest.to_alcotest prop_epoch_dense_equivalent;
+          Alcotest.test_case "sparse = dense (directed seeds)" `Quick
+            test_fuzz_sparse_dense_equivalent;
+          QCheck_alcotest.to_alcotest prop_sparse_dense_equivalent;
         ] );
       ( "codec-sparse",
         [

@@ -135,6 +135,17 @@ b[0] := 1" with
         (Test_util.contains msg "undeclared")
   | Ok _ -> Alcotest.fail "expected validation error"
 
+(* A literal past [max_int] is a parse error with its line, not an
+   escaping [Failure]. *)
+let test_parse_oversized_literal () =
+  match Parser.parse "x := 1;\nshared a[99999999999999999999]" with
+  | Error msg ->
+      Alcotest.(check bool) "line 2" true (Test_util.contains msg "line 2");
+      Alcotest.(check bool) "names the literal" true
+        (Test_util.contains msg "99999999999999999999")
+  | Ok _ -> Alcotest.fail "expected error"
+  | exception e -> Alcotest.failf "escaped: %s" (Printexc.to_string e)
+
 let test_parse_empty_program () =
   match Parser.parse "shared a[4]" with
   | Ok { Ast.body = Ast.Skip; _ } -> ()
@@ -410,6 +421,8 @@ let () =
           Alcotest.test_case "parens + cmp" `Quick test_parse_parens_and_comparison;
           Alcotest.test_case "fetch-add" `Quick test_parse_fetch_add;
           Alcotest.test_case "error lines" `Quick test_parse_errors_carry_line;
+          Alcotest.test_case "oversized literal" `Quick
+            test_parse_oversized_literal;
           Alcotest.test_case "empty body" `Quick test_parse_empty_program;
           QCheck_alcotest.to_alcotest prop_parse_print_roundtrip;
         ] );

@@ -7,14 +7,16 @@
       model had before ordering assumptions moved behind
       [Dsm_rdma.Model]: races, race CSV, message/word counts, simulated
       time, coherence verdicts, final memory and final process clocks,
-      over all three clock representations with and without the planted
+      over both clock representations and the default configuration,
+      with and without the planted
       protocol bugs, plus explorer fingerprints over the stock
       scenarios.
 
    2. A 500+-schedule randomized sweep holding the default-model
       construction (no [~model], no [memory_model]) bit-identical to the
-      explicit [Nic_atomic] construction, and the three clock
-      representations identical to each other, on every schedule.
+      explicit [Nic_atomic] construction, and the default configuration
+      and both clock representations identical to each other, on every
+      schedule.
 
    3. Differential properties: the sequentially-consistent reference
       never races where every weaker backend is silent (union over a
@@ -38,7 +40,7 @@ module Token = Dsm_explore.Token
    op mix, same fingerprint fields. [model = None] uses the default
    construction paths (no [~model] on the machine, no [memory_model] in
    the config) — the paths every pre-refactor caller used. *)
-let run_once ?model ~clock_rep ~n ~seed ~ops ~bugs () =
+let run_once ?model ?clock_rep ~n ~seed ~ops ~bugs () =
   let sim = Engine.create ~seed () in
   let latency =
     Dsm_net.Latency.Jittered
@@ -51,8 +53,11 @@ let run_once ?model ~clock_rep ~n ~seed ~ops ~bugs () =
         Machine.create sim ~n ~latency ~protocol_bugs:bugs ~model ()
   in
   let checker = Coherence.attach m in
+  let config = { Config.default with Config.granularity = Config.Word } in
   let config =
-    { Config.default with Config.granularity = Config.Word; clock_rep }
+    match clock_rep with
+    | None -> config
+    | Some clock_rep -> { config with Config.clock_rep }
   in
   let config =
     match model with
@@ -137,11 +142,13 @@ let run_once ?model ~clock_rep ~n ~seed ~ops ~bugs () =
   in
   Digest.to_hex (Digest.string fp)
 
+(* "default" leaves [Config.default]'s representation in place — the
+   sparse one, so its rows carry the sparse digests. *)
 let reps =
   [
-    ("epoch", Config.Epoch_adaptive);
-    ("dense", Config.Dense_vector);
-    ("sparse", Config.Sparse_vector);
+    ("default", None);
+    ("dense", Some Config.Dense_vector);
+    ("sparse", Some Config.Sparse_vector);
   ]
 
 let rep_of_name name = List.assoc name reps
@@ -151,25 +158,27 @@ let planted = [ Machine.Skip_get_dst_lock; Machine.Skip_rmw_write_mark ]
 (* ---------- layer 1: pre-refactor goldens ---------- *)
 
 (* Recorded by dev_goldens/record.ml on the pre-refactor tree (commit
-   59f2723), n = 4, ops = 12: (rep, planted bugs, seed, digest). *)
+   59f2723), n = 4, ops = 12: (rep, planted bugs, seed, digest). The
+   "default" rows were recorded under that tree's default
+   representation; every representation recorded the same digests. *)
 let direct_goldens =
   [
-    ("epoch", false, 1, "8d9b80261cecbdb32bbe5038aa4967a3");
-    ("epoch", false, 2, "8ca91e79026721bed7e0b54e8a51c4d3");
-    ("epoch", false, 3, "86f6579b930479c4626968f2053e614d");
-    ("epoch", false, 5, "d9280aee5cbda57c896e1a203c2050dc");
-    ("epoch", false, 8, "30aa8806bf24824cb2edfd0d2367acc3");
-    ("epoch", false, 13, "9ea45eef8b3c84c2a3e3a74a3fa1f701");
-    ("epoch", false, 21, "e1a43ee90fe47b00e45a85f1f61fa746");
-    ("epoch", false, 42, "4dffe66de1d2725e338dd7cde2febf5b");
-    ("epoch", true, 1, "8d9b80261cecbdb32bbe5038aa4967a3");
-    ("epoch", true, 2, "6f192e4b0f4531e7db72b3c148d673f3");
-    ("epoch", true, 3, "a549668a0ea5b5a18546f09e47ac4145");
-    ("epoch", true, 5, "d9280aee5cbda57c896e1a203c2050dc");
-    ("epoch", true, 8, "cb0f5d033d28df212b419f4fd329db24");
-    ("epoch", true, 13, "9ea45eef8b3c84c2a3e3a74a3fa1f701");
-    ("epoch", true, 21, "e1a43ee90fe47b00e45a85f1f61fa746");
-    ("epoch", true, 42, "4dffe66de1d2725e338dd7cde2febf5b");
+    ("default", false, 1, "8d9b80261cecbdb32bbe5038aa4967a3");
+    ("default", false, 2, "8ca91e79026721bed7e0b54e8a51c4d3");
+    ("default", false, 3, "86f6579b930479c4626968f2053e614d");
+    ("default", false, 5, "d9280aee5cbda57c896e1a203c2050dc");
+    ("default", false, 8, "30aa8806bf24824cb2edfd0d2367acc3");
+    ("default", false, 13, "9ea45eef8b3c84c2a3e3a74a3fa1f701");
+    ("default", false, 21, "e1a43ee90fe47b00e45a85f1f61fa746");
+    ("default", false, 42, "4dffe66de1d2725e338dd7cde2febf5b");
+    ("default", true, 1, "8d9b80261cecbdb32bbe5038aa4967a3");
+    ("default", true, 2, "6f192e4b0f4531e7db72b3c148d673f3");
+    ("default", true, 3, "a549668a0ea5b5a18546f09e47ac4145");
+    ("default", true, 5, "d9280aee5cbda57c896e1a203c2050dc");
+    ("default", true, 8, "cb0f5d033d28df212b419f4fd329db24");
+    ("default", true, 13, "9ea45eef8b3c84c2a3e3a74a3fa1f701");
+    ("default", true, 21, "e1a43ee90fe47b00e45a85f1f61fa746");
+    ("default", true, 42, "4dffe66de1d2725e338dd7cde2febf5b");
     ("dense", false, 1, "8d9b80261cecbdb32bbe5038aa4967a3");
     ("dense", false, 2, "8ca91e79026721bed7e0b54e8a51c4d3");
     ("dense", false, 3, "86f6579b930479c4626968f2053e614d");
@@ -213,11 +222,11 @@ let test_direct_goldens () =
       Alcotest.(check string)
         (label ^ " (default construction)")
         golden
-        (run_once ~clock_rep ~n:4 ~seed ~ops:12 ~bugs ());
+        (run_once ?clock_rep ~n:4 ~seed ~ops:12 ~bugs ());
       Alcotest.(check string)
         (label ^ " (explicit nic_atomic)")
         golden
-        (run_once ~model:Model.Nic_atomic ~clock_rep ~n:4 ~seed ~ops:12
+        (run_once ~model:Model.Nic_atomic ?clock_rep ~n:4 ~seed ~ops:12
            ~bugs ()))
     direct_goldens
 
@@ -290,8 +299,8 @@ let test_explore_goldens () =
 
 (* 3 reps x 2 bug settings x 42 seeds x 2 constructions = 504 schedules,
    each executed twice (default vs. explicit nic_atomic) and held
-   bit-identical; the three representations are additionally held
-   identical to each other per (bug, seed). *)
+   bit-identical; the default configuration and the two representations
+   are additionally held identical to each other per (bug, seed). *)
 let test_sweep_default_vs_explicit () =
   for i = 0 to 41 do
     let seed = 101 + (13 * i) in
@@ -301,9 +310,9 @@ let test_sweep_default_vs_explicit () =
         let per_rep =
           List.map
             (fun (rname, clock_rep) ->
-              let dflt = run_once ~clock_rep ~n:3 ~seed ~ops:8 ~bugs () in
+              let dflt = run_once ?clock_rep ~n:3 ~seed ~ops:8 ~bugs () in
               let expl =
-                run_once ~model:Model.Nic_atomic ~clock_rep ~n:3 ~seed
+                run_once ~model:Model.Nic_atomic ?clock_rep ~n:3 ~seed
                   ~ops:8 ~bugs ()
               in
               Alcotest.(check string)
@@ -314,13 +323,13 @@ let test_sweep_default_vs_explicit () =
             reps
         in
         match per_rep with
-        | [ e; dv; sp ] ->
+        | [ df; dv; sp ] ->
             Alcotest.(check string)
-              (Printf.sprintf "bug=%b seed=%d epoch=dense" bug seed)
-              e dv;
+              (Printf.sprintf "bug=%b seed=%d default=dense" bug seed)
+              df dv;
             Alcotest.(check string)
-              (Printf.sprintf "bug=%b seed=%d epoch=sparse" bug seed)
-              e sp
+              (Printf.sprintf "bug=%b seed=%d default=sparse" bug seed)
+              df sp
         | _ -> assert false)
       [ false; true ]
   done

@@ -101,6 +101,42 @@ let test_different_locks_do_not_order () =
   Alcotest.(check bool) "still concurrent" true (Trace.concurrent t w w2);
   Alcotest.(check int) "one race" 1 (List.length (Trace.races t))
 
+(* ---------- RMW serialization ---------- *)
+
+(* The NIC serializes RMWs on a word, so an atomic update synchronizes
+   with the earlier ones: a plain access P0 made before its own atomic is
+   ordered before P1's later atomic. A plain read only observes the
+   atomic — the read itself still races with it. *)
+let test_rmw_serialization_orders_the_atomic () =
+  let r = Recorder.create ~n:3 () in
+  let w = acc r ~t:1. ~pid:0 ~kind:Event.Write ~target:(reg 0 1) in
+  let a0 = acc r ~t:2. ~pid:0 ~kind:Event.Atomic_update ~target:(reg 0 1) in
+  let a1 = acc r ~t:3. ~pid:1 ~kind:Event.Atomic_update ~target:(reg 0 1) in
+  let rd = acc r ~t:4. ~pid:2 ~kind:Event.Read ~target:(reg 0 1) in
+  let t = Recorder.finish r in
+  Alcotest.(check bool) "write not racing the later atomic" true
+    (Trace.race_ordered t ~first:w ~second:a1);
+  Alcotest.(check bool) "atomic -> atomic" true (Trace.happens_before t a0 a1);
+  Alcotest.(check (list (pair int int))) "only the read races"
+    [ (w, rd); (a0, rd); (a1, rd) ]
+    (List.map
+       (fun { Trace.first; second } -> (first.Event.id, second.Event.id))
+       (Trace.races t)
+    |> List.sort compare)
+
+(* An RMW release marks the issuer's history before the atomic itself is
+   recorded: a later atomic synchronizes with it, a later read observes
+   it. *)
+let test_rmw_release_point () =
+  let r = Recorder.create ~n:3 () in
+  let w = acc r ~t:1. ~pid:0 ~kind:Event.Write ~target:(reg 4 1) in
+  Recorder.rmw_release r ~pid:0 ~target:(reg 0 1);
+  let a1 = acc r ~t:2. ~pid:1 ~kind:Event.Atomic_update ~target:(reg 0 1) in
+  let rd = acc r ~t:3. ~pid:2 ~kind:Event.Read ~target:(reg 0 1) in
+  let t = Recorder.finish r in
+  Alcotest.(check bool) "release -> atomic" true (Trace.happens_before t w a1);
+  Alcotest.(check bool) "release -> read" true (Trace.happens_before t w rd)
+
 (* ---------- barriers ---------- *)
 
 let test_barrier_orders_phases () =
@@ -182,7 +218,7 @@ let test_build_rejects_forward_edges () =
   in
   Alcotest.check_raises "forward edge"
     (Invalid_argument "Trace.build: edge does not point backwards") (fun () ->
-      ignore (Trace.build ~n:1 ~events ~preds:[| [ 0 ] |]))
+      ignore (Trace.build ~n:1 ~events ~preds:[| [ 0 ] |] ()))
 
 let test_to_dot_mentions_events () =
   let r = Recorder.create ~n:2 () in
@@ -336,6 +372,9 @@ let () =
           Alcotest.test_case "last writer" `Quick test_last_writer_wins;
           Alcotest.test_case "lock edges" `Quick test_lock_edges;
           Alcotest.test_case "different locks" `Quick test_different_locks_do_not_order;
+          Alcotest.test_case "rmw serialization" `Quick
+            test_rmw_serialization_orders_the_atomic;
+          Alcotest.test_case "rmw release point" `Quick test_rmw_release_point;
           Alcotest.test_case "barrier" `Quick test_barrier_orders_phases;
           Alcotest.test_case "barrier generations" `Quick test_barrier_generations_independent;
         ] );
