@@ -87,11 +87,12 @@ conformance:
 	dune exec test/test_conformance.exe
 
 # Short scaling run past the paper's ~10 processes: 256 processes under
-# the sparse representation and the batched transport. A one-round
-# version also runs inside `dune runtest`.
+# the sparse representation and the batched transport, then 4096. A
+# one-round version also runs inside `dune runtest`.
 scale-smoke:
 	dune exec bin/dsmcheck.exe -- scale -n 256 --rounds 2 --chunk 4
 	dune exec bin/dsmcheck.exe -- scale -n 256 --rounds 2 --chunk 4 --rep dense
+	dune exec bin/dsmcheck.exe -- scale -n 4096 --rounds 1 --chunk 4
 
 # One-sided RMW workloads (§5.2 extensions): the racy variants must
 # signal a race somewhere in the batch and the race-free variants must

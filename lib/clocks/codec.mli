@@ -4,7 +4,11 @@
     below [n] entries. This module makes the cost concrete: it provides the
     dense encodings used by the simulated NIC messages, plus a differential
     encoding whose {e worst case} is still linear in [n] — the E6 experiment
-    measures both. The wire unit is the simulator's machine word. *)
+    measures both. The wire unit is the simulator's machine word.
+
+    Every decoder raises only [Invalid_argument] on malformed input, and
+    none allocates more than its buffer could encode: a dimension header
+    is never trusted to size an allocation on its own. *)
 
 type wire = int array
 (** A flat word buffer as carried inside a simulated message. *)
@@ -35,14 +39,18 @@ val encode_vector_sparse : Vector_clock.t -> wire
 
 val decode_vector_sparse : wire -> Vector_clock.t
 (** Inverse of {!encode_vector_sparse}; the result is a [Sparse]-policy
-    clock. Raises [Invalid_argument] on a truncated or padded buffer,
-    a malformed header, unsorted or out-of-range pids, or a
-    non-positive tick. *)
+    clock, built from the pairs in O(k) (O(n) only when [k] is past the
+    dense-promotion threshold). Raises [Invalid_argument] on a truncated
+    or padded buffer, a malformed header, unsorted or out-of-range pids,
+    or a non-positive tick. *)
 
 val encode_matrix : Matrix_clock.t -> wire
 (** [n*n + 2] words: dimension and owner headers then rows. *)
 
 val decode_matrix : wire -> Matrix_clock.t
+(** Inverse of {!encode_matrix}. Raises [Invalid_argument] on a
+    malformed buffer, including a dimension header too large for the
+    buffer. *)
 
 (** {1 Differential encoding}
 
@@ -56,8 +64,12 @@ val encode_vector_delta : since:Vector_clock.t -> Vector_clock.t -> wire
 
 val decode_vector_delta : base:Vector_clock.t -> wire -> Vector_clock.t
 (** [decode_vector_delta ~base w] reconstructs the encoded clock given the
-    [base] ([since]) the encoder used. Raises [Invalid_argument] if the
-    buffer is malformed or the dimensions disagree. *)
+    [base] ([since]) the encoder used; an index listed twice takes its
+    last value. O(active base + d) when every entry is positive and at
+    least the value it replaces (what a monotone sender ships) and
+    [base] has the [Sparse] policy; O(n) otherwise. Raises
+    [Invalid_argument] if the buffer is malformed or the dimensions
+    disagree. *)
 
 (** {1 Byte-level varint encoding}
 
@@ -100,8 +112,11 @@ val encode_piggyback :
   wire
 (** [encode_piggyback ~mode ~seq ?since v] frames [v] for the wire.
     [since] is the sender's per-edge cache (the last clock shipped on
-    this channel); it is only consulted under [Delta]. Raises
-    [Invalid_argument] on a negative [seq]. *)
+    this channel); it is only consulted under [Delta]. The candidate
+    sizes are computed, not built, and only the winning frame is
+    allocated: O(active v + active since) when neither clock is in the
+    dense representation and the frame is not dense, O(n) otherwise.
+    Raises [Invalid_argument] on a negative [seq]. *)
 
 val decode_piggyback :
   expect_seq:int -> ?base:Vector_clock.t -> wire -> Vector_clock.t * int
@@ -109,7 +124,10 @@ val decode_piggyback :
     frame's sequence number. Self-contained frames (dense, sparse)
     decode at any [seq]; a delta frame requires [seq = expect_seq] and
     [base] to be the receiver's mirror of the sender's cache, and
-    raises [Invalid_argument] otherwise. *)
+    raises [Invalid_argument] otherwise. The payload is decoded in
+    place, at the cost of {!decode_vector}, {!decode_vector_sparse} or
+    {!decode_vector_delta}; malformed frames raise only
+    [Invalid_argument]. *)
 
 val piggyback_mode_of : wire -> piggyback_mode
 (** The tag of a framed piggyback; raises [Invalid_argument] on a

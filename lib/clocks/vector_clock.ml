@@ -99,13 +99,24 @@ let sparse_get t p =
   let i = sparse_find t p in
   if i >= 0 then t.vals.(i) else 0
 
-(* Capacity is bounded by the promotion threshold, so one allocation
-   (retained across [reset]) serves the clock's whole lifetime. *)
-let sparse_ensure_arrays t =
-  if t.keys == no_vec then begin
-    let cap = t.threshold + 1 in
-    t.keys <- Array.make cap 0;
-    t.vals <- Array.make cap 0
+(* Room for [need] live entries. Capacity is bounded by the promotion
+   threshold, so a clock's first allocation takes it all at once and
+   (retained across [reset]) serves the clock's whole lifetime. Only
+   clocks built from wire pairs ({!of_pairs}) start exact-sized — a
+   decoder must not allocate what an untrusted dimension header asks
+   for — and grow by doubling up to the same bound. *)
+let sparse_reserve t need =
+  let len = Array.length t.keys in
+  if len < need then begin
+    let cap =
+      if len = 0 then t.threshold + 1
+      else min (t.threshold + 1) (max need (2 * len))
+    in
+    let keys = Array.make cap 0 and vals = Array.make cap 0 in
+    Array.blit t.keys 0 keys 0 t.nactive;
+    Array.blit t.vals 0 vals 0 t.nactive;
+    t.keys <- keys;
+    t.vals <- vals
   end
 
 (* ---------- promotions ---------- *)
@@ -127,7 +138,7 @@ let promote t =
 
 (* Epoch -> sparse pairs: carry the epoch entry over. *)
 let promote_sparse t =
-  sparse_ensure_arrays t;
+  sparse_reserve t 1;
   t.nactive <- 0;
   if t.count > 0 then begin
     t.keys.(0) <- t.pid;
@@ -151,6 +162,7 @@ let sparse_set t p v =
   end
   else begin
     let at = -i - 1 in
+    sparse_reserve t (t.nactive + 1);
     Array.blit t.keys at t.keys (at + 1) (t.nactive - at);
     Array.blit t.vals at t.vals (at + 1) (t.nactive - at);
     t.keys.(at) <- p;
@@ -175,6 +187,7 @@ let rec bump t p v =
     end
     else begin
       let at = -i - 1 in
+      sparse_reserve t (t.nactive + 1);
       Array.blit t.keys at t.keys (at + 1) (t.nactive - at);
       Array.blit t.vals at t.vals (at + 1) (t.nactive - at);
       t.keys.(at) <- p;
@@ -231,7 +244,7 @@ let of_array_rep rep a =
     t
   end
   else if !nonzeros <= t.threshold then begin
-    sparse_ensure_arrays t;
+    sparse_reserve t !nonzeros;
     let k = ref 0 in
     for i = 0 to n - 1 do
       if a.(i) <> 0 then begin
@@ -324,6 +337,7 @@ let sparse_merge_sparse ~into src =
     done
   end
   else begin
+    sparse_reserve into !union;
     (* fill from the back: reading positions never overtake writes *)
     let i = ref (an - 1) and j = ref (bn - 1) and k = ref (!union - 1) in
     while !j >= 0 do
@@ -599,7 +613,9 @@ let load_words t w ~off =
   end
   else if !nonzeros <= t.threshold then begin
     t.vec <- no_vec;
-    sparse_ensure_arrays t;
+    t.sparse_on <- false;
+    t.nactive <- 0;
+    sparse_reserve t !nonzeros;
     let k = ref 0 in
     for i = 0 to t.dim - 1 do
       let x = w.(off + i) in
@@ -639,6 +655,110 @@ let to_array t =
   let a = Array.make t.dim 0 in
   store_words t a ~off:0;
   a
+
+let merge_entry c i x =
+  if i < 0 || i >= c.dim || x < 0 then invalid_arg "Vector_clock.merge_entry";
+  if x > 0 then bump c i x
+
+(* Live components in ascending pid order: O(active) for epoch and
+   sparse clocks, O(dim) for dense ones. *)
+let iter_active t f =
+  if is_dense t then Array.iteri (fun p x -> if x <> 0 then f p x) t.vec
+  else if t.sparse_on then
+    for i = 0 to t.nactive - 1 do
+      f t.keys.(i) t.vals.(i)
+    done
+  else if t.count > 0 then f t.pid t.count
+
+(* The ascending live run of a non-dense clock; an epoch is a run of at
+   most one entry. *)
+let run_len t = if t.sparse_on then t.nactive else if t.count > 0 then 1 else 0
+
+let run_key t i = if t.sparse_on then t.keys.(i) else t.pid
+
+let run_val t i = if t.sparse_on then t.vals.(i) else t.count
+
+(* Component [p] of [t] during an ascending walk, [c] the cursor into a
+   non-dense clock's run. *)
+let walk_get t c p =
+  if is_dense t then t.vec.(p)
+  else if !c < run_len t && run_key t !c = p then begin
+    let x = run_val t !c in
+    incr c;
+    x
+  end
+  else 0
+
+(* Every component where [v] differs from [since], ascending, with [v]'s
+   value (0 where only [since] is live): a merge scan over the two live
+   runs, O(active + active); one O(dim) walk when an operand is dense. *)
+let iter_diff ~since v f =
+  check_dim since v "iter_diff";
+  if is_dense v || is_dense since then begin
+    let ci = ref 0 and cj = ref 0 in
+    for p = 0 to v.dim - 1 do
+      let x = walk_get v ci p in
+      if x <> walk_get since cj p then f p x
+    done
+  end
+  else begin
+    let vn = run_len v and sn = run_len since in
+    let i = ref 0 and j = ref 0 in
+    while !i < vn || !j < sn do
+      if !j >= sn || (!i < vn && run_key v !i < run_key since !j) then begin
+        f (run_key v !i) (run_val v !i);
+        incr i
+      end
+      else if !i >= vn || run_key since !j < run_key v !i then begin
+        f (run_key since !j) 0;
+        incr j
+      end
+      else begin
+        let x = run_val v !i in
+        if x <> run_val since !j then f (run_key v !i) x;
+        incr i;
+        incr j
+      end
+    done
+  end
+
+(* O(count) unless the result is dense (more than [threshold] pairs,
+   i.e. O(n) = O(count)): the pairs array is sized to [count], never to
+   the dimension, so a huge [n] costs nothing until entries arrive. *)
+let of_pairs ~n w ~off ~count =
+  if n <= 0 then invalid_arg "Vector_clock.of_pairs: dimension must be positive";
+  if off < 0 || off > Array.length w || count < 0
+     || count > (Array.length w - off) / 2
+  then invalid_arg "Vector_clock.of_pairs: slice out of bounds";
+  let prev = ref (-1) in
+  for j = 0 to count - 1 do
+    let p = w.(off + (2 * j)) and x = w.(off + (2 * j) + 1) in
+    if p <= !prev || p >= n || x <= 0 then
+      invalid_arg "Vector_clock.of_pairs: malformed pair";
+    prev := p
+  done;
+  let t = create ~n in
+  if count = 1 then begin
+    t.pid <- w.(off);
+    t.count <- w.(off + 1)
+  end
+  else if count > 1 && count <= t.threshold then begin
+    t.keys <- Array.make count 0;
+    t.vals <- Array.make count 0;
+    for j = 0 to count - 1 do
+      t.keys.(j) <- w.(off + (2 * j));
+      t.vals.(j) <- w.(off + (2 * j) + 1)
+    done;
+    t.nactive <- count;
+    t.sparse_on <- true
+  end
+  else if count > 1 then begin
+    t.vec <- Array.make n 0;
+    for j = 0 to count - 1 do
+      t.vec.(w.(off + (2 * j))) <- w.(off + (2 * j) + 1)
+    done
+  end;
+  t
 
 let merge_words ~into w ~off =
   check_slice into w off "merge_words";

@@ -149,6 +149,34 @@ val store_words : t -> int array -> off:int -> unit
 (** [store_words c w ~off] writes the [dim c] components into [w] at
     [off] — the allocation-free counterpart of {!to_array}. *)
 
+val merge_entry : t -> int -> int -> unit
+(** [merge_entry c i x] raises component [i] to [max (entry c i) x] —
+    {!merge_into} against the clock that is [x] at [i] and 0 elsewhere,
+    without building it. Raises [Invalid_argument] when [i] is out of
+    bounds or [x] is negative. *)
+
+val iter_active : t -> (int -> int -> unit) -> unit
+(** [iter_active c f] calls [f pid tick] for every nonzero component, in
+    ascending [pid] order. O(active) for epoch and sparse clocks, O(dim)
+    for dense ones. *)
+
+val iter_diff : since:t -> t -> (int -> int -> unit) -> unit
+(** [iter_diff ~since v f] calls [f pid (entry v pid)] for every [pid]
+    where [v] and [since] differ, in ascending order — the payload of a
+    differential encoding. A merge scan over the two live runs,
+    O(active v + active since); one O(dim) walk when either operand is
+    dense. Raises [Invalid_argument] on dimension mismatch. *)
+
+val of_pairs : n:int -> int array -> off:int -> count:int -> t
+(** [of_pairs ~n w ~off ~count] is the [Sparse]-policy clock of
+    dimension [n] whose nonzero components are the [count] pairs
+    [(w.(off + 2j), w.(off + 2j + 1))] — the inverse of {!iter_active},
+    in the same compact form {!of_array} would choose, built without a
+    dense array: O(count), and O(n) only where the result is dense.
+    Raises [Invalid_argument] on a non-positive [n], a slice out of
+    bounds, a pid outside [0 .. n-1], pids not strictly ascending, or
+    a non-positive tick. *)
+
 val merge_words : into:t -> int array -> off:int -> unit
 (** [merge_words ~into w ~off] merges the clock encoded in the slice
     directly into [into] — {!merge_into} without materializing the

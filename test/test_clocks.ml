@@ -738,6 +738,83 @@ let test_codec_piggyback () =
     (Invalid_argument "Codec.decode_piggyback: delta without base") (fun () ->
       ignore (Codec.decode_piggyback ~expect_seq:3 wdl))
 
+(* Headers a peer controls must not size an allocation. A sparse
+   payload's dimension header costs nothing until pairs arrive (the
+   clock is sized by its pair count), and a matrix header too large for
+   the buffer is rejected before [n * n] can overflow past the length
+   check. *)
+let test_codec_untrusted_headers () =
+  let huge = 1 lsl 40 in
+  let z = Codec.decode_vector_sparse [| huge; 0 |] in
+  Alcotest.(check int) "zero clock keeps its dimension" huge
+    (Vector_clock.dim z);
+  Alcotest.(check bool) "zero clock" true (Vector_clock.is_zero z);
+  let z', seq = Codec.decode_piggyback ~expect_seq:0 [| 1; 6; huge; 0 |] in
+  Alcotest.(check int) "framed: seq" 6 seq;
+  Alcotest.(check bool) "framed: zero clock" true
+    (Vector_clock.is_zero z' && Vector_clock.dim z' = huge);
+  (* two pairs land in the pairs stage, sized 2 — and grow on demand *)
+  let c = Codec.decode_vector_sparse [| huge; 2; 5; 1; huge - 1; 3 |] in
+  Alcotest.(check bool) "pairs stage" true (Vector_clock.is_sparse c);
+  Alcotest.(check int) "last pid" 3 (Vector_clock.entry c (huge - 1));
+  Vector_clock.merge_entry c 9 4;
+  Vector_clock.tick c ~me:7;
+  Alcotest.(check (list int)) "grown live run" [ 5; 7; 9; huge - 1 ]
+    (let ps = ref [] in
+     Vector_clock.iter_active c (fun p _ -> ps := p :: !ps);
+     List.rev !ps);
+  Alcotest.(check int) "sum after growth" 9 (Vector_clock.sum c);
+  Alcotest.check_raises "matrix header overflowing n*n"
+    (Invalid_argument "Codec.decode_matrix: malformed buffer") (fun () ->
+      ignore (Codec.decode_matrix [| 1 lsl 32; 0 |]))
+
+(* Heap words [f ()] allocates, from [Gc.quick_stat]: minor plus direct
+   major allocations, less the minor words promoted in between. The
+   runtime folds a domain's allocation into these counters at minor
+   collections, so one brackets [f] on each side. *)
+let words_allocated f =
+  Gc.minor ();
+  let a = Gc.quick_stat () in
+  f ();
+  Gc.minor ();
+  let b = Gc.quick_stat () in
+  int_of_float
+    (b.Gc.minor_words -. a.Gc.minor_words
+    +. (b.Gc.major_words -. a.Gc.major_words)
+    -. (b.Gc.promoted_words -. a.Gc.promoted_words))
+
+(* One adaptive piggyback encode plus its decode, for an epoch-shaped
+   clock against an epoch-shaped cache, allocates the same number of
+   words at every [n]: the wire path is O(live entries), not O(n).
+   Two shapes: a one-tick advance (a sparse frame) and an unchanged
+   clock (an empty delta frame, decoded against the mirror). *)
+let test_codec_alloc_flat_in_n () =
+  let round_trip ~n ~advance =
+    let since = Vector_clock.create ~n in
+    Vector_clock.tick since ~me:(n / 2);
+    Vector_clock.tick since ~me:(n / 2);
+    let v = Vector_clock.copy since in
+    if advance then Vector_clock.tick v ~me:(n / 2);
+    let base = Vector_clock.copy since in
+    let go () =
+      let w = Codec.encode_piggyback ~mode:Codec.Delta ~seq:3 ~since v in
+      let v', _ = Codec.decode_piggyback ~expect_seq:3 ~base w in
+      assert (Vector_clock.equal v v')
+    in
+    go ();
+    words_allocated go
+  in
+  List.iter
+    (fun advance ->
+      let at64 = round_trip ~n:64 ~advance in
+      List.iter
+        (fun n ->
+          Alcotest.(check int)
+            (Printf.sprintf "words at n=%d = at n=64 (advance=%b)" n advance)
+            at64 (round_trip ~n ~advance))
+        [ 1024; 4096 ])
+    [ true; false ]
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
   [
     prop_compare_antisymmetric;
@@ -825,5 +902,9 @@ let () =
           Alcotest.test_case "sizes" `Quick test_codec_sizes;
           Alcotest.test_case "delta malformed" `Quick test_codec_delta_malformed;
           Alcotest.test_case "piggyback" `Quick test_codec_piggyback;
+          Alcotest.test_case "untrusted headers" `Quick
+            test_codec_untrusted_headers;
+          Alcotest.test_case "wire allocation flat in n" `Quick
+            test_codec_alloc_flat_in_n;
         ] );
     ]

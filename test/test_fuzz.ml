@@ -351,6 +351,284 @@ let prop_codec_piggyback_roundtrip =
       && Array.length adaptive <= Array.length dense
       && Array.length adaptive <= Array.length sparse)
 
+(* --- Frame identity against the three-candidate encoder. ---------- *)
+
+(* The reference the arithmetic encoder must match word for word: build
+   all three candidate payloads from the dense array, keep the smallest
+   (sparse on a tie with dense, delta only when strictly smaller), and
+   decode through a dense array. Deliberately naive — O(n) everywhere. *)
+module Oracle = struct
+  let encode_vector v =
+    let a = Vector_clock.to_array v in
+    let n = Array.length a in
+    Array.init (n + 1) (fun i -> if i = 0 then n else a.(i - 1))
+
+  let encode_vector_sparse v =
+    let a = Vector_clock.to_array v in
+    let pairs =
+      List.concat
+        (List.filter_map
+           (fun i -> if a.(i) <> 0 then Some [ i; a.(i) ] else None)
+           (List.init (Array.length a) Fun.id))
+    in
+    Array.of_list ((Array.length a :: (List.length pairs / 2) :: pairs))
+
+  let encode_vector_delta ~since v =
+    let n = Vector_clock.dim v in
+    let diffs =
+      List.filter_map
+        (fun i ->
+          let x = Vector_clock.entry v i in
+          if x <> Vector_clock.entry since i then Some (i, x) else None)
+        (List.init n Fun.id)
+    in
+    Array.of_list
+      (n :: List.length diffs
+      :: List.concat_map (fun (i, x) -> [ i; x ]) diffs)
+
+  let frame ~tag ~seq payload = Array.append [| tag; seq |] payload
+
+  let encode_piggyback ~mode ~seq ?since v =
+    match (mode : Codec.piggyback_mode) with
+    | Dense -> frame ~tag:0 ~seq (encode_vector v)
+    | Sparse -> frame ~tag:1 ~seq (encode_vector_sparse v)
+    | Delta -> (
+        let dense = encode_vector v and sparse = encode_vector_sparse v in
+        let self_contained =
+          if Array.length sparse <= Array.length dense then
+            frame ~tag:1 ~seq sparse
+          else frame ~tag:0 ~seq dense
+        in
+        match since with
+        | Some s when Vector_clock.dim s = Vector_clock.dim v ->
+            let d = encode_vector_delta ~since:s v in
+            if Array.length d + 2 < Array.length self_contained then
+              frame ~tag:2 ~seq d
+            else self_contained
+        | _ -> self_contained)
+
+  let decode_vector_sparse w =
+    let n = w.(0) and k = w.(1) in
+    if n <= 0 || k < 0 || k > n || Array.length w <> 2 + (2 * k) then
+      invalid_arg "oracle: malformed";
+    let a = Array.make n 0 in
+    let prev = ref (-1) in
+    for j = 0 to k - 1 do
+      let pid = w.(2 + (2 * j)) and tick = w.(3 + (2 * j)) in
+      if pid <= !prev || pid >= n || tick <= 0 then
+        invalid_arg "oracle: malformed";
+      a.(pid) <- tick;
+      prev := pid
+    done;
+    Vector_clock.of_array a
+
+  let decode_vector_delta ~base w =
+    let n = w.(0) and count = w.(1) in
+    if n <> Vector_clock.dim base || count < 0
+       || Array.length w <> 2 + (2 * count)
+    then invalid_arg "oracle: malformed";
+    let a = Vector_clock.to_array base in
+    for k = 0 to count - 1 do
+      let i = w.(2 + (2 * k)) and x = w.(3 + (2 * k)) in
+      if i < 0 || i >= n || x < 0 then invalid_arg "oracle: malformed";
+      a.(i) <- x
+    done;
+    Vector_clock.of_array a
+end
+
+(* [a] as a clock under either policy; [promoted] forces a
+   [Sparse]-policy clock into the dense array, whatever its live count,
+   by merging a dense-policy source into it. *)
+let clock_of a ~dense ~promoted =
+  if promoted && not dense then begin
+    let c = Vector_clock.create ~n:(Array.length a) in
+    Vector_clock.merge_into ~into:c (Vector_clock.of_array ~dense:true a);
+    c
+  end
+  else Vector_clock.of_array ~dense a
+
+(* A clock of dimension [n] under either policy, in a chosen stage:
+   0 epoch (at most one live entry), 1 pairs (up to the promotion
+   threshold), 2 full (past it), 3 as 1 but promoted. *)
+let clock_in_stage g ~n ~dense ~stage =
+  let thr = Vector_clock.sparse_threshold ~n in
+  let live =
+    match stage with
+    | 0 -> Prng.int g 2
+    | 1 | 3 -> min n (2 + Prng.int g (max 1 (thr - 1)))
+    | _ -> min n (thr + 1 + Prng.int g (max 1 (n - thr)))
+  in
+  let a = Array.make n 0 in
+  for _ = 1 to live do
+    a.(Prng.int g n) <- 1 + Prng.int g 1_000
+  done;
+  clock_of a ~dense ~promoted:(stage = 3)
+
+(* [since] close to [v] — some entries kept, some lowered, zeroed,
+   raised or newly live — so that every candidate gets to win. *)
+let perturb g v ~dense =
+  let a = Vector_clock.to_array v in
+  Array.iteri
+    (fun i x ->
+      match Prng.int g 8 with
+      | 0 -> a.(i) <- 0
+      | 1 -> a.(i) <- max 0 (x - 1 - Prng.int g 5)
+      | 2 -> a.(i) <- x + 1 + Prng.int g 5
+      | _ -> ())
+    a;
+  clock_of a ~dense ~promoted:(Prng.int g 2 = 0)
+
+let outcome f =
+  match f () with v -> Ok v | exception Invalid_argument _ -> Error ()
+
+let same_clock a b =
+  match (a, b) with
+  | Ok x, Ok y -> Vector_clock.equal x y
+  | Error (), Error () -> true
+  | _ -> false
+
+(* Every mode, both policies, every stage, n in 1..48 plus 1024, with a
+   [since] of another representation or stage, of another dimension, or
+   none: the frame equals the oracle's word for word, and it decodes to
+   the clock the oracle's dense decoder returns. *)
+let prop_piggyback_frame_identity =
+  QCheck.Test.make ~name:"piggyback frames equal the three-candidate oracle"
+    ~count:400
+    QCheck.(
+      make
+        ~print:(fun (n, seed) -> Printf.sprintf "(n=%d, seed=%d)" n seed)
+        Gen.(
+          pair
+            (frequency [ (7, int_range 1 48); (1, return 1024) ])
+            (int_range 0 1_000_000)))
+    (fun (n, seed) ->
+      let g = Prng.create ~seed in
+      let v =
+        clock_in_stage g ~n ~dense:(Prng.int g 2 = 0) ~stage:(Prng.int g 4)
+      in
+      let since =
+        match Prng.int g 8 with
+        | 0 -> None
+        | 1 -> Some (Vector_clock.create ~n:(n + 1))
+        | 2 | 3 ->
+            Some
+              (clock_in_stage g ~n ~dense:(Prng.int g 2 = 0)
+                 ~stage:(Prng.int g 4))
+        | _ -> Some (perturb g v ~dense:(Prng.int g 2 = 0))
+      in
+      let seq = Prng.int g 1_000 in
+      List.for_all
+        (fun mode ->
+          let w = Codec.encode_piggyback ~mode ~seq ?since v in
+          w = Oracle.encode_piggyback ~mode ~seq ?since v
+          &&
+          let base =
+            match since with
+            | Some s when Vector_clock.dim s = n -> Some s
+            | _ -> None
+          in
+          let v', seq' = Codec.decode_piggyback ~expect_seq:seq ?base w in
+          seq' = seq && Vector_clock.equal v v')
+        [ Codec.Dense; Codec.Sparse; Codec.Delta ]
+      && Codec.encode_vector_sparse v = Oracle.encode_vector_sparse v
+      &&
+      match since with
+      | Some s when Vector_clock.dim s = n ->
+          Codec.encode_vector_delta ~since:s v
+          = Oracle.encode_vector_delta ~since:s v
+      | _ -> true)
+
+(* Arbitrary payloads — valid, non-monotone, zero-valued, duplicate or
+   out-of-range indices, bad headers — decode to the oracle's clock, or
+   are rejected by both, directly and inside a frame. *)
+let prop_decoders_match_oracle =
+  QCheck.Test.make ~name:"sparse and delta decoders match the dense oracle"
+    ~count:400
+    QCheck.(
+      make
+        ~print:(fun (n, seed) -> Printf.sprintf "(n=%d, seed=%d)" n seed)
+        Gen.(pair (int_range 1 40) (int_range 0 1_000_000)))
+    (fun (n, seed) ->
+      let g = Prng.create ~seed in
+      let base =
+        clock_in_stage g ~n ~dense:(Prng.int g 4 = 0) ~stage:(Prng.int g 4)
+      in
+      let count = Prng.int g 8 in
+      let pairs = Array.make (2 * count) 0 in
+      let prev = ref (-1) in
+      for k = 0 to count - 1 do
+        let i =
+          match Prng.int g 10 with
+          | 0 -> !prev (* duplicate *)
+          | 1 -> if Prng.int g 2 = 0 then -1 else n
+          | 2 | 3 | 4 -> !prev + 1 + Prng.int g 3 (* ascending *)
+          | _ -> Prng.int g n
+        in
+        let cur = if i >= 0 && i < n then Vector_clock.entry base i else 0 in
+        let x =
+          match Prng.int g 8 with
+          | 0 -> 0
+          | 1 -> max 0 (cur - 1 - Prng.int g 3)
+          | 2 -> -1
+          | 3 -> cur
+          | _ -> cur + 1 + Prng.int g 9
+        in
+        pairs.(2 * k) <- i;
+        pairs.((2 * k) + 1) <- x;
+        prev := i
+      done;
+      let hdr_n = if Prng.int g 10 = 0 then n + 1 else n in
+      let hdr_k =
+        match Prng.int g 10 with 0 -> count + 1 | 1 -> -1 | _ -> count
+      in
+      let payload = Array.append [| hdr_n; hdr_k |] pairs in
+      let seq = Prng.int g 100 in
+      same_clock
+        (outcome (fun () -> Codec.decode_vector_delta ~base payload))
+        (outcome (fun () -> Oracle.decode_vector_delta ~base payload))
+      && same_clock
+           (outcome (fun () -> Codec.decode_vector_sparse payload))
+           (outcome (fun () -> Oracle.decode_vector_sparse payload))
+      && same_clock
+           (outcome (fun () ->
+                fst
+                  (Codec.decode_piggyback ~expect_seq:seq ~base
+                     (Array.append [| 2; seq |] payload))))
+           (outcome (fun () -> Oracle.decode_vector_delta ~base payload))
+      && same_clock
+           (outcome (fun () ->
+                fst
+                  (Codec.decode_piggyback ~expect_seq:seq
+                     (Array.append [| 1; seq |] payload))))
+           (outcome (fun () -> Oracle.decode_vector_sparse payload)))
+
+(* The delta decoder's general path, pinned: an entry that goes down or
+   to zero, and a duplicate index whose last write is lower, all decode
+   as the dense oracle does (the last write wins); a rising duplicate
+   stays on the raise-in-place path. *)
+let test_codec_delta_fallback () =
+  let a = Array.make 16 0 in
+  a.(2) <- 5;
+  a.(3) <- 1;
+  a.(9) <- 7;
+  let base = Vector_clock.of_array a in
+  let expect name payload want =
+    let got = Codec.decode_vector_delta ~base payload in
+    Alcotest.(check bool) (name ^ " = oracle") true
+      (Vector_clock.equal got (Oracle.decode_vector_delta ~base payload));
+    Alcotest.(check (array int)) name want (Vector_clock.to_array got)
+  in
+  let with_ i x =
+    let b = Array.copy a in
+    b.(i) <- x;
+    b
+  in
+  expect "decreasing" [| 16; 1; 2; 1 |] (with_ 2 1);
+  expect "zeroed" [| 16; 1; 9; 0 |] (with_ 9 0);
+  expect "duplicate, falling" [| 16; 2; 3; 9; 3; 4 |] (with_ 3 4);
+  expect "duplicate, rising" [| 16; 2; 3; 4; 3; 9 |] (with_ 3 9);
+  expect "new entry" [| 16; 1; 15; 2 |] (with_ 15 2)
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -379,5 +657,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_codec_delta_roundtrip;
           QCheck_alcotest.to_alcotest prop_codec_varint_roundtrip_random;
           QCheck_alcotest.to_alcotest prop_codec_piggyback_roundtrip;
+          QCheck_alcotest.to_alcotest prop_piggyback_frame_identity;
+          QCheck_alcotest.to_alcotest prop_decoders_match_oracle;
+          Alcotest.test_case "delta fallback (down, zero, duplicate)" `Quick
+            test_codec_delta_fallback;
         ] );
     ]
