@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-smoke bench-json bench-explore perf explore-smoke explore-par-smoke obs-smoke conformance scale-smoke rmw-smoke wire-smoke explain-smoke experiments examples clean outputs
+.PHONY: all build test bench bench-smoke bench-json bench-explore perf perf-smoke explore-smoke explore-par-smoke obs-smoke conformance scale-smoke rmw-smoke wire-smoke explain-smoke experiments examples clean outputs
 
 all: build
 
@@ -34,6 +34,16 @@ perf:
 	python3 perfbench/run.py --workload scale_push --seed 1 --seconds 30 --trace 0
 	python3 perfbench/run.py --workload random_mix --seed 1 --seconds 30 --trace 0
 	python3 perfbench/run.py --workload explore_walks --seed 1 --seconds 30 --trace 0
+
+# A short pass over the repository benchmark: every workload for 3 s,
+# plus one traced explore_walks run for the per-layer metrics. run.py
+# exits non-zero when a build or a correctness check fails, which fails
+# the target.
+perf-smoke:
+	python3 perfbench/run.py --workload scale_push --seed 1 --seconds 3 --trace 0
+	python3 perfbench/run.py --workload random_mix --seed 1 --seconds 3 --trace 0
+	python3 perfbench/run.py --workload explore_walks --seed 1 --seconds 3 --trace 0
+	python3 perfbench/run.py --workload explore_walks --seed 1 --seconds 3 --trace 1
 
 # Time-boxed schedule exploration of the example programs plus the
 # built-in get/put scenario. A smaller version of the racy/pingpong

@@ -575,7 +575,20 @@ let sum c =
    costs [dim] words on the wire and in the §5.1 storage model. *)
 let size_words t = t.dim
 
-let snapshot = copy
+(* Unlike [copy], which keeps a sparse clock's full [threshold + 1]
+   capacity (and an epoch's retained pair arrays) so the result can grow
+   in place, a snapshot holds exactly the live entries: the record alone
+   for an epoch, [nactive] pairs for a sparse clock, the array for a
+   dense one. Still a valid clock should someone mutate it —
+   [sparse_reserve] regrows short arrays — but nobody is meant to. *)
+let snapshot t =
+  let live = if t.sparse_on then t.nactive else 0 in
+  {
+    t with
+    vec = (if is_dense t then Array.copy t.vec else no_vec);
+    keys = (if live = 0 then no_vec else Array.sub t.keys 0 live);
+    vals = (if live = 0 then no_vec else Array.sub t.vals 0 live);
+  }
 
 let reset t =
   match t.rep with

@@ -8,8 +8,9 @@
 
     Values are mutable: the simulator's processes and the per-datum clocks
     of the detector update them in place while holding the region lock, as
-    prescribed by §4.2. Use {!copy} / {!snapshot} when a value must escape
-    the critical section (e.g. into a trace).
+    prescribed by §4.2. Use {!snapshot} when a value must escape the
+    critical section read-only (e.g. into a trace or a race report), and
+    {!copy} when the escaped value will itself be updated.
 
     {2 Representation}
 
@@ -62,6 +63,9 @@ val dim : t -> int
 (** Number of processes the clock covers. *)
 
 val copy : t -> t
+(** An independent, mutable clock with the same value, representation
+    and spare capacity — for a clock you go on to tick or merge into.
+    See {!snapshot} for read-only captures. *)
 
 val of_array : ?dense:bool -> int array -> t
 (** [of_array a] wraps a copy of [a] under the [Sparse] policy (the
@@ -128,8 +132,14 @@ val size_words : t -> int
     experiment E6). Representation-independent: always {!dim}. *)
 
 val snapshot : t -> t
-(** Alias for {!copy}, named for its use when capturing a clock into an
-    immutable trace record. *)
+(** An immutable capture of the clock's current value, for records that
+    outlive the moment (race reports, provenance entries, piggyback edge
+    caches). Sized to the live entries: an epoch costs the record alone,
+    a sparse clock exactly its live pairs, a dense clock its array —
+    where {!copy} carries a sparse clock's full promotion-threshold
+    capacity so it can grow in place. A snapshot may be shared by
+    several holders, so treat it as read-only; use {!copy} for a clock
+    you intend to mutate. *)
 
 val reset : t -> unit
 (** Zero every component in place, restoring the compact epoch

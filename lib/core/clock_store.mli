@@ -38,6 +38,15 @@ type entry = {
 
 type t
 
+val pack_key : offset:int -> len:int -> int
+(** A granule's [(offset, len)] within one node, packed into one
+    immediate [int] (the store's table key). Injective on its range:
+    [0 <= len < 2^21] and [0 <= offset <= 2^40]; raises
+    [Invalid_argument] outside it. Packed keys order like the pairs. *)
+
+val unpack_key : int -> int * int
+(** The [(offset, len)] of a {!pack_key} key. *)
+
 val make_clock : Config.clock_rep -> n:int -> Dsm_clocks.Vector_clock.t
 (** The zero clock of dimension [n] in representation [rep] — the one
     place a {!Config.clock_rep} picks a clock constructor; every clock

@@ -257,10 +257,14 @@ let is_writing_class = function
   | Plain_read | Rmw { wrote = false } -> false
 
 (* Cold path: a race was found; materialize the granule region and the
-   clock snapshots for the report, and recover the race's other endpoint
-   from the granule's provenance ring (the current access has not been
-   noted yet, so the lookup cannot return the access itself). *)
-let signal_race t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~datum ~against =
+   datum clock's snapshot for the report, and recover the race's other
+   endpoint from the granule's provenance ring (the current access has
+   not been noted yet, so the lookup cannot return the access itself).
+   [snap] is the accessor clock's snapshot, shared with the provenance
+   entry this access leaves; the prior entry's clock is itself an
+   immutable snapshot, so the report shares it too. *)
+let signal_race t ~pid ~cls ~snap ~event_id ~node ~offset ~len ~datum ~against
+    =
   let kind = kind_of_class cls in
   if t.probe.on then
     Dsm_obs.Probe.emit t.probe
@@ -286,10 +290,10 @@ let signal_race t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~datum ~against =
           p_time = e.time;
           p_op = e.op;
           p_event_id = (if e.event_id >= 0 then Some e.event_id else None);
-          p_clock = Vector_clock.snapshot e.clock;
+          p_clock = e.clock;
         })
       (Provenance.find_prior t.provenance ~node ~offset ~len ~pid
-         ~write:(is_writing_class cls) ~clock:v0)
+         ~write:(is_writing_class cls) ~clock:snap)
   in
   Report.signal t.report
     {
@@ -298,7 +302,8 @@ let signal_race t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~datum ~against =
       accessor = pid;
       kind;
       granule = Addr.region ~pid:node ~space:Addr.Public ~offset ~len;
-      accessor_clock = Vector_clock.snapshot v0;
+      accessor_clock = snap;
+      (* [datum] is per-pid scratch: it must be captured *)
       datum_clock = Vector_clock.snapshot datum;
       against;
       prior;
@@ -348,18 +353,26 @@ let check_granule t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~fv ~fw ~fs
           Report.Write_clock
         end
   in
-  if Vector_clock.concurrent v0 datum then
-    signal_race t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~datum ~against;
-  if Provenance.depth t.provenance > 0 then
-    Provenance.note t.provenance ~node ~offset ~len
-      {
-        Provenance.pid;
-        kind = kind_of_class cls;
-        time = now t;
-        op = t.checked_ops;
-        event_id = (match event_id with Some id -> id | None -> -1);
-        clock = Vector_clock.snapshot v0;
-      };
+  let racy = Vector_clock.concurrent v0 datum in
+  let noting = Provenance.depth t.provenance > 0 in
+  (* one exact-size snapshot of [v0] serves the race report and the
+     provenance entry alike; neither ever mutates it *)
+  if racy || noting then begin
+    let snap = Vector_clock.snapshot v0 in
+    if racy then
+      signal_race t ~pid ~cls ~snap ~event_id ~node ~offset ~len ~datum
+        ~against;
+    if noting then
+      Provenance.note t.provenance ~node ~offset ~len
+        {
+          Provenance.pid;
+          kind = kind_of_class cls;
+          time = now t;
+          op = t.checked_ops;
+          event_id = (match event_id with Some id -> id | None -> -1);
+          clock = snap;
+        }
+  end;
   match cls with
   | Plain_read | Rmw _ ->
       if t.mh.read_acquires_writes then begin

@@ -165,7 +165,9 @@ val record_lock :
 (** {1 Introspection} *)
 
 val proc_clock : t -> int -> Dsm_clocks.Vector_clock.t
-(** Snapshot of a process's current clock. *)
+(** A fresh {!Dsm_clocks.Vector_clock.snapshot} of a process's current
+    clock: immutable, exact-size, and unaffected by the process's later
+    accesses — callers may keep it without copying again. *)
 
 val provenance : t -> Provenance.t
 (** The per-granule access-history store behind [Report.race.prior]

@@ -28,7 +28,12 @@ val depth : t -> int
 
 val note : t -> node:int -> offset:int -> len:int -> entry -> unit
 (** Record an access, evicting the oldest once the granule's ring is
-    full. O(1). *)
+    full. O(1). Granules are keyed per node by
+    {!Clock_store.pack_key}, so distinct granules never share a ring;
+    raises [Invalid_argument] on a negative node or on an offset or
+    length outside that key's range. The entry's clock is kept as is —
+    pass an immutable {!Dsm_clocks.Vector_clock.snapshot}, which the
+    store and race reports may share. *)
 
 val history : t -> node:int -> offset:int -> len:int -> entry list
 (** Retained accesses, newest first (at most [depth]). *)

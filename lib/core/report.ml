@@ -151,25 +151,83 @@ let pp_grouped ppf t =
       Format.fprintf ppf "%d raced shared datum(s):@," (List.length groups);
       Format.pp_print_list pp_group ppf groups
 
+(* [to_csv] is on the explorer's per-schedule path (every run and its
+   determinism replay are fingerprinted), so it writes straight into one
+   buffer: no [Format], no per-line [Printf], a digit writer for ints
+   and clock components. Its bytes must stay those of the [Printf] rows
+   and [Vector_clock.to_string] clocks described in report.mli:
+   fingerprints and replay tokens hash them (test_fuzz's [Csv_oracle]
+   holds the reference). *)
+
+(* The C primitive behind [Printf]'s [%.6f]. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let rec add_digits buf x =
+  if x >= 10 then add_digits buf (x / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (x mod 10)))
+
+let add_int buf x =
+  if x >= 0 then add_digits buf x else Buffer.add_string buf (string_of_int x)
+
+(* [<c0,c1,...>] as [Vector_clock.to_string] prints it, walking only the
+   live components and filling the zeros between them. *)
+let add_clock buf c =
+  Buffer.add_char buf '<';
+  let next = ref 0 in
+  let zeros_to p =
+    for i = !next to p - 1 do
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_char buf '0'
+    done
+  in
+  Dsm_clocks.Vector_clock.iter_active c (fun p x ->
+      zeros_to p;
+      if p > 0 then Buffer.add_char buf ',';
+      add_int buf x;
+      next := p + 1);
+  zeros_to (Dsm_clocks.Vector_clock.dim c);
+  Buffer.add_char buf '>'
+
+let add_field buf s =
+  Buffer.add_string buf s;
+  Buffer.add_char buf ','
+
+let add_int_field buf x =
+  add_int buf x;
+  Buffer.add_char buf ','
+
+let add_row buf r =
+  add_field buf (format_float "%.6f" r.time);
+  add_int_field buf r.accessor;
+  add_field buf (Dsm_trace.Event.kind_name r.kind);
+  add_int_field buf r.granule.Dsm_memory.Addr.base.pid;
+  add_int_field buf r.granule.Dsm_memory.Addr.base.offset;
+  add_int_field buf r.granule.Dsm_memory.Addr.len;
+  Buffer.add_string buf
+    (match r.against with General_clock -> "general" | Write_clock -> "write");
+  Buffer.add_string buf ",\"";
+  add_clock buf r.accessor_clock;
+  Buffer.add_string buf "\",\"";
+  add_clock buf r.datum_clock;
+  Buffer.add_string buf "\",";
+  (match r.event_id with Some id -> add_int buf id | None -> ());
+  Buffer.add_char buf '\n'
+
+(* Room for the whole CSV up front, so the buffer rarely regrows: ~40
+   bytes of fixed columns per row plus two clocks of two bytes or more
+   per component, with some slack for multi-digit ticks. *)
+let csv_size_hint t =
+  match t.races with
+  | [] -> 128
+  | r :: _ ->
+      let dim = Dsm_clocks.Vector_clock.dim r.accessor_clock in
+      128 + (t.count * (64 + (5 * dim)))
+
 let to_csv t =
-  let buf = Buffer.create 512 in
+  let buf = Buffer.create (csv_size_hint t) in
   Buffer.add_string buf
     "time,accessor,kind,node,offset,len,against,accessor_clock,datum_clock,event_id\n";
-  List.iter
-    (fun r ->
-      Buffer.add_string buf
-        (Printf.sprintf "%.6f,%d,%s,%d,%d,%d,%s,\"%s\",\"%s\",%s\n" r.time
-           r.accessor
-           (Dsm_trace.Event.kind_name r.kind)
-           r.granule.Dsm_memory.Addr.base.pid
-           r.granule.Dsm_memory.Addr.base.offset r.granule.Dsm_memory.Addr.len
-           (match r.against with
-           | General_clock -> "general"
-           | Write_clock -> "write")
-           (Dsm_clocks.Vector_clock.to_string r.accessor_clock)
-           (Dsm_clocks.Vector_clock.to_string r.datum_clock)
-           (match r.event_id with Some id -> string_of_int id | None -> "")))
-    (races t);
+  List.iter (add_row buf) (races t);
   Buffer.contents buf
 
 let fingerprint t =

@@ -87,7 +87,17 @@ val to_csv : t -> string
     [time,accessor,kind,node,offset,len,against,accessor_clock,datum_clock,event_id]
     — the machine-readable companion of [Dsm_trace.Export]. [event_id]
     is empty when tracing was off, otherwise it joins the row to the
-    recorded trace event. *)
+    recorded trace event.
+
+    The byte format is a stable contract: {!fingerprint}, and through
+    it the explorer's run fingerprints and replay tokens, hash these
+    exact bytes. Each row is what
+    [Printf.sprintf "%.6f,%d,%s,%d,%d,%d,%s,\"%s\",\"%s\",%s\n"] gives
+    for the fields in header order, with [kind] as
+    [Dsm_trace.Event.kind_name], [against] as [general] or [write], and
+    each clock as {!Dsm_clocks.Vector_clock.to_string} prints it
+    ([<c0,c1,...>], every component, no spaces). Suppressed signals are
+    not listed. *)
 
 val fingerprint : t -> string
 (** Hex digest of {!to_csv}: two runs produced the same signals (same

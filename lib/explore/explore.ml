@@ -159,7 +159,7 @@ let execute ctx (built : Scenario.built) =
     | None -> ()
     | Some d ->
         for pid = 0 to Array.length prev - 1 do
-          let cur = Vector_clock.snapshot (Detector.proc_clock d pid) in
+          let cur = Detector.proc_clock d pid in
           (match prev.(pid) with
           | Some old when not (Vector_clock.leq old cur) ->
               mono :=

@@ -768,20 +768,7 @@ let test_codec_untrusted_headers () =
     (Invalid_argument "Codec.decode_matrix: malformed buffer") (fun () ->
       ignore (Codec.decode_matrix [| 1 lsl 32; 0 |]))
 
-(* Heap words [f ()] allocates, from [Gc.quick_stat]: minor plus direct
-   major allocations, less the minor words promoted in between. The
-   runtime folds a domain's allocation into these counters at minor
-   collections, so one brackets [f] on each side. *)
-let words_allocated f =
-  Gc.minor ();
-  let a = Gc.quick_stat () in
-  f ();
-  Gc.minor ();
-  let b = Gc.quick_stat () in
-  int_of_float
-    (b.Gc.minor_words -. a.Gc.minor_words
-    +. (b.Gc.major_words -. a.Gc.major_words)
-    -. (b.Gc.promoted_words -. a.Gc.promoted_words))
+let words_allocated = Test_util.words_allocated
 
 (* One adaptive piggyback encode plus its decode, for an epoch-shaped
    clock against an epoch-shaped cache, allocates the same number of
@@ -814,6 +801,85 @@ let test_codec_alloc_flat_in_n () =
             at64 (round_trip ~n ~advance))
         [ 1024; 4096 ])
     [ true; false ]
+
+(* A snapshot holds exactly the live entries. [record] is the words of
+   the clock record itself (fields plus header). *)
+let record_words = 1 + Obj.size (Obj.repr (Vector_clock.create ~n:1))
+
+(* An epoch that once held pairs keeps the warm pair arrays (for reuse
+   after [reset]); its snapshot leaves them behind: the record alone. *)
+let test_snapshot_alloc_epoch () =
+  let c = Vector_clock.create ~n:64 in
+  Vector_clock.tick c ~me:3;
+  Vector_clock.merge_entry c 9 2;
+  Alcotest.(check bool) "pairs stage" true (Vector_clock.is_sparse c);
+  Vector_clock.reset c;
+  Vector_clock.tick c ~me:5;
+  Alcotest.(check bool) "epoch again" true (Vector_clock.is_epoch c);
+  let go () = ignore (Sys.opaque_identity (Vector_clock.snapshot c)) in
+  go ();
+  Alcotest.(check int) "epoch snapshot = record" record_words
+    (words_allocated go)
+
+(* A sparse clock's snapshot is the record plus its [nactive] live pairs
+   (two arrays, each with a header) — not the promotion-threshold
+   capacity [copy] carries. *)
+let test_snapshot_alloc_sparse () =
+  List.iter
+    (fun (n, live) ->
+      let c = Vector_clock.create ~n in
+      for k = 0 to live - 1 do
+        Vector_clock.merge_entry c (3 * k) (k + 1)
+      done;
+      Alcotest.(check bool) "pairs stage" true (Vector_clock.is_sparse c);
+      let go () = ignore (Sys.opaque_identity (Vector_clock.snapshot c)) in
+      go ();
+      Alcotest.(check int)
+        (Printf.sprintf "n=%d, %d live pairs" n live)
+        (record_words + (2 * (live + 1)))
+        (words_allocated go))
+    [ (64, 2); (64, 8); (1024, 3); (1024, 100) ]
+
+(* Mutating the source after [snapshot] leaves the snapshot alone, in
+   every stage; the snapshot stays a valid clock that [copy] (and even
+   in-place updates) can grow from. *)
+let test_snapshot_frozen_all_stages () =
+  let n = 64 in
+  let stage_of name k =
+    let c = Vector_clock.create ~n in
+    for p = 0 to k - 1 do
+      Vector_clock.merge_entry c (2 * p) (p + 1)
+    done;
+    (name, c)
+  in
+  List.iter
+    (fun (name, c) ->
+      Alcotest.(check bool) (name ^ ": stage") true
+        (match name with
+        | "epoch" -> Vector_clock.is_epoch c
+        | "pairs" -> Vector_clock.is_sparse c
+        | _ -> not (Vector_clock.is_epoch c || Vector_clock.is_sparse c));
+      let before = Vector_clock.to_array c in
+      let s = Vector_clock.snapshot c in
+      Vector_clock.tick c ~me:1;
+      Vector_clock.tick c ~me:0;
+      Vector_clock.merge_into ~into:c (Vector_clock.of_array (Array.make n 7));
+      Alcotest.(check (array int)) (name ^ ": snapshot frozen") before
+        (Vector_clock.to_array s);
+      let grown = Vector_clock.copy s in
+      for p = 0 to n - 1 do
+        Vector_clock.merge_entry grown p 1
+      done;
+      Alcotest.(check (array int)) (name ^ ": snapshot unchanged by copy")
+        before (Vector_clock.to_array s);
+      Alcotest.(check int) (name ^ ": copy grows to dense") n
+        (Vector_clock.active_entries grown))
+    [
+      stage_of "epoch" 1;
+      stage_of "pairs" 5;
+      stage_of "dense" 20;
+      ("dense policy", Vector_clock.of_array ~dense:true (Array.init n Fun.id));
+    ]
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
   [
@@ -861,6 +927,12 @@ let () =
           Alcotest.test_case "merge" `Quick test_vc_merge;
           Alcotest.test_case "merge_into" `Quick test_vc_merge_into;
           Alcotest.test_case "snapshot" `Quick test_vc_snapshot_independent;
+          Alcotest.test_case "snapshot frozen, every stage" `Quick
+            test_snapshot_frozen_all_stages;
+          Alcotest.test_case "snapshot alloc: epoch = record" `Quick
+            test_snapshot_alloc_epoch;
+          Alcotest.test_case "snapshot alloc: sparse = live pairs" `Quick
+            test_snapshot_alloc_sparse;
           Alcotest.test_case "sum/entry/size" `Quick test_vc_sum_entry;
         ] );
       ( "vector-epoch",

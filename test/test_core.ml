@@ -824,6 +824,145 @@ let prop_ground_truth_equivalence =
       ground_truth_equivalence ~seed;
       true)
 
+(* ---------- race signals: shared snapshots, cheap serialization ---------- *)
+
+(* One race signal shares the accessor clock's snapshot with the
+   provenance entry the access leaves, and the report's [prior] shares
+   the prior entry's clock: neither is copied again. *)
+let test_race_shares_snapshots () =
+  let d = scenario_5a Config.default in
+  let report = Detector.report d in
+  match Report.races report with
+  | [ r ] -> (
+      let node = r.Report.granule.Addr.base.pid
+      and offset = r.Report.granule.Addr.base.offset
+      and len = r.Report.granule.Addr.len in
+      match Provenance.history (Detector.provenance d) ~node ~offset ~len with
+      | [ newest; older ] -> (
+          Alcotest.(check bool) "accessor clock is the noted snapshot" true
+            (r.Report.accessor_clock == newest.Provenance.clock);
+          match r.Report.prior with
+          | Some p ->
+              Alcotest.(check bool) "prior clock is the entry's snapshot" true
+                (p.Report.p_clock == older.Provenance.clock)
+          | None -> Alcotest.fail "race must name its prior endpoint")
+      | h -> Alcotest.failf "expected 2 history entries, got %d" (List.length h)
+      )
+  | rs -> Alcotest.failf "expected one race, got %d" (List.length rs)
+
+(* A fixed report of 64 races at n=4: [to_csv] allocates about the
+   bytes it writes, not a [Format] formatter per clock. Serializing this
+   report through [Printf] rows and [Format]-printed clocks allocates
+   ~950 words per race; the direct writer ~60 (OCaml 5.1, 64-bit). *)
+let test_csv_words_per_race () =
+  let t = Report.create () in
+  for i = 0 to 63 do
+    let clock a = Dsm_clocks.Vector_clock.of_array a in
+    Report.signal t
+      {
+        Report.event_id = (if i mod 2 = 0 then Some (1000 + i) else None);
+        time = 10.0 +. (float_of_int i *. 1.37);
+        accessor = i mod 4;
+        kind = (if i mod 3 = 0 then Dsm_trace.Event.Read else Write);
+        granule =
+          Addr.region ~pid:(i mod 4) ~space:Addr.Public ~offset:(4 * i) ~len:4;
+        accessor_clock = clock [| i; 1 + (i mod 7); 0; 12 |];
+        datum_clock = clock [| 0; i mod 5; 3 + i; 0 |];
+        against = (if i mod 2 = 0 then Report.General_clock else Write_clock);
+        prior = None;
+      }
+  done;
+  let go () = ignore (Sys.opaque_identity (Report.to_csv t)) in
+  go ();
+  let per_race = Test_util.words_allocated go / 64 in
+  if per_race > 100 then
+    Alcotest.failf "to_csv allocates %d words per race (bound 100)" per_race
+
+(* ---------- provenance keys ---------- *)
+
+let prov_entry ~pid ~kind ~op =
+  {
+    Provenance.pid;
+    kind;
+    time = float_of_int op;
+    op;
+    event_id = -1;
+    clock = Dsm_clocks.Vector_clock.of_array [| op; pid |];
+  }
+
+(* Offsets past 2^21 words must not spill into the node bits, and a
+   length past the key's range must be refused, not folded into the
+   offset: each access's history stays on its own granule. *)
+let test_provenance_keys_do_not_alias () =
+  let p = Provenance.create ~depth:4 in
+  Provenance.note p ~node:0 ~offset:(1 lsl 21) ~len:1
+    (prov_entry ~pid:0 ~kind:Dsm_trace.Event.Write ~op:1);
+  Alcotest.(check int) "node 1 untouched" 0
+    (List.length (Provenance.history p ~node:1 ~offset:0 ~len:1));
+  Alcotest.(check int) "kept on its own granule" 1
+    (List.length (Provenance.history p ~node:0 ~offset:(1 lsl 21) ~len:1));
+  Alcotest.check_raises "length past the key range"
+    (Invalid_argument "Clock_store: granule outside packable range")
+    (fun () ->
+      Provenance.note p ~node:0 ~offset:0 ~len:(1 lsl 21)
+        (prov_entry ~pid:0 ~kind:Dsm_trace.Event.Write ~op:2));
+  let seen = ref [] in
+  Provenance.iter_granules p ~f:(fun ~node ~offset ~len es ->
+      seen := (node, offset, len, List.length es) :: !seen);
+  Alcotest.(check (list (pair (pair int int) (pair int int))))
+    "only the noted granule"
+    [ ((0, 1 lsl 21), (1, 1)) ]
+    (List.map (fun (n, o, l, c) -> ((n, o), (l, c))) !seen)
+
+(* [find_prior] walks the ring in place; it must pick what the
+   list-based definition picks: the newest conflicting entry by another
+   process that is concurrent with [clock], else the newest conflicting
+   one. *)
+let test_provenance_find_prior_reference () =
+  let reference p ~pid ~write ~clock =
+    let candidates =
+      List.filter
+        (fun (e : Provenance.entry) ->
+          e.pid <> pid && (write || e.kind <> Dsm_trace.Event.Read))
+        (Provenance.history p ~node:2 ~offset:8 ~len:1)
+    in
+    match
+      List.find_opt
+        (fun (e : Provenance.entry) ->
+          Dsm_clocks.Vector_clock.concurrent clock e.clock)
+        candidates
+    with
+    | Some e -> Some e
+    | None -> ( match candidates with e :: _ -> Some e | [] -> None)
+  in
+  let g = Prng.create ~seed:11 in
+  for round = 0 to 199 do
+    let p = Provenance.create ~depth:(1 + (round mod 5)) in
+    for op = 1 to Prng.int g 9 do
+      Provenance.note p ~node:2 ~offset:8 ~len:1
+        {
+          (prov_entry ~pid:(Prng.int g 3) ~op
+             ~kind:(if Prng.bool g then Dsm_trace.Event.Read else Write))
+          with
+          clock =
+            Dsm_clocks.Vector_clock.of_array
+              [| Prng.int g 3; Prng.int g 3; Prng.int g 3 |];
+        }
+    done;
+    let pid = Prng.int g 3 and write = Prng.bool g in
+    let clock =
+      Dsm_clocks.Vector_clock.of_array
+        [| Prng.int g 3; Prng.int g 3; Prng.int g 3 |]
+    in
+    let got =
+      Provenance.find_prior p ~node:2 ~offset:8 ~len:1 ~pid ~write ~clock
+    in
+    match (got, reference p ~pid ~write ~clock) with
+    | None, None -> ()
+    | Some a, Some b when a == b -> ()
+    | _ -> Alcotest.failf "round %d: find_prior disagrees with reference" round
+  done
+
 let () =
   Alcotest.run "core"
     [
@@ -884,6 +1023,20 @@ let () =
         [
           Alcotest.test_case "counters" `Quick test_counters;
           Alcotest.test_case "proc clock" `Quick test_proc_clock_snapshot;
+        ] );
+      ( "race-signal",
+        [
+          Alcotest.test_case "one shared snapshot" `Quick
+            test_race_shares_snapshots;
+          Alcotest.test_case "csv words per race" `Quick
+            test_csv_words_per_race;
+        ] );
+      ( "provenance",
+        [
+          Alcotest.test_case "keys do not alias" `Quick
+            test_provenance_keys_do_not_alias;
+          Alcotest.test_case "find_prior = list reference" `Quick
+            test_provenance_find_prior_reference;
         ] );
       ( "clock-store-keys",
         [

@@ -629,6 +629,156 @@ let test_codec_delta_fallback () =
   expect "duplicate, rising" [| 16; 2; 3; 4; 3; 9 |] (with_ 3 9);
   expect "new entry" [| 16; 1; 15; 2 |] (with_ 15 2)
 
+(* ---------- race-report CSV: byte identity ---------- *)
+
+(* The race CSV as it was first written, through [Printf] rows and
+   [Format]-printed clocks. [Report.to_csv] writes the same bytes
+   directly into a buffer; fingerprints and replay tokens hash these
+   bytes, so the two must never drift apart. *)
+module Csv_oracle = struct
+  let pp_clock ppf c =
+    Format.pp_print_char ppf '<';
+    for i = 0 to Vector_clock.dim c - 1 do
+      if i > 0 then Format.pp_print_char ppf ',';
+      Format.pp_print_int ppf (Vector_clock.entry c i)
+    done;
+    Format.pp_print_char ppf '>'
+
+  let clock_to_string c = Format.asprintf "%a" pp_clock c
+
+  let to_csv t =
+    let buf = Buffer.create 512 in
+    Buffer.add_string buf
+      "time,accessor,kind,node,offset,len,against,accessor_clock,datum_clock,event_id\n";
+    List.iter
+      (fun (r : Report.race) ->
+        Buffer.add_string buf
+          (Printf.sprintf "%.6f,%d,%s,%d,%d,%d,%s,\"%s\",\"%s\",%s\n" r.time
+             r.accessor
+             (Dsm_trace.Event.kind_name r.kind)
+             r.granule.Addr.base.pid r.granule.Addr.base.offset
+             r.granule.Addr.len
+             (match r.against with
+             | Report.General_clock -> "general"
+             | Report.Write_clock -> "write")
+             (clock_to_string r.accessor_clock)
+             (clock_to_string r.datum_clock)
+             (match r.event_id with Some id -> string_of_int id | None -> "")))
+      (Report.races t);
+    Buffer.contents buf
+
+  let fingerprint t = Digest.to_hex (Digest.string (to_csv t))
+end
+
+(* Simulated times the row's [%.6f] must render exactly: zero, ordinary,
+   huge, and values sitting on (or one ulp either side of) a rounding
+   boundary of the sixth decimal. *)
+let csv_time g =
+  match Prng.int g 7 with
+  | 0 -> 0.0
+  | 1 -> Prng.float g 1_000.0
+  | 2 -> 1e9 +. Prng.float g 1e6
+  | 3 -> ldexp 1.0 (40 + Prng.int g 20) +. Prng.float g 1.0
+  | k ->
+      let boundary =
+        float_of_int (Prng.int g 100_000)
+        +. ((float_of_int (Prng.int g 1_000_000) +. 0.5) /. 1e6)
+      in
+      if k = 4 then boundary
+      else if k = 5 then Float.pred boundary
+      else Float.succ boundary
+
+(* A clock of dimension [n] in any stage under either policy, ticks
+   small or large, sometimes as the exact-size [snapshot] the detector
+   stores. *)
+let csv_clock g ~n =
+  let big = Prng.int g 3 = 0 in
+  let c = clock_in_stage g ~n ~dense:(Prng.int g 2 = 0) ~stage:(Prng.int g 4) in
+  let c =
+    if big then begin
+      let a = Vector_clock.to_array c in
+      Vector_clock.of_array ~dense:(Vector_clock.rep c = Vector_clock.Dense)
+        (Array.map (fun x -> if x = 0 then 0 else x * 1_000_003_013) a)
+    end
+    else c
+  in
+  if Prng.int g 2 = 0 then Vector_clock.snapshot c else c
+
+let csv_dims = [| 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12; 64; 1024 |]
+
+(* A random report: races of every kind against either clock, with and
+   without event ids, some of them swallowed by suppressions placed
+   before or after the signals. *)
+let random_report g =
+  let n = Prng.pick g csv_dims in
+  let t = Report.create () in
+  let region () =
+    Addr.region ~pid:(Prng.int g 4) ~space:Addr.Public
+      ~offset:(Prng.int g 24) ~len:(1 + Prng.int g 4)
+  in
+  let suppress () = if Prng.int g 4 = 0 then Report.suppress t (region ()) in
+  suppress ();
+  for _ = 1 to Prng.int g 12 do
+    Report.signal t
+      {
+        Report.event_id =
+          (if Prng.bool g then None else Some (Prng.int g 1_000_000_000));
+        time = csv_time g;
+        accessor = Prng.int g n;
+        kind =
+          Prng.pick g
+            Dsm_trace.Event.[| Read; Write; Atomic_update |];
+        granule = region ();
+        accessor_clock = csv_clock g ~n;
+        datum_clock = csv_clock g ~n;
+        against =
+          (if Prng.bool g then Report.General_clock else Report.Write_clock);
+        prior = None;
+      }
+  done;
+  suppress ();
+  t
+
+let prop_csv_matches_oracle =
+  QCheck.Test.make ~name:"to_csv and fingerprint equal the Printf/Format oracle"
+    ~count:300
+    QCheck.(
+      make ~print:(fun seed -> Printf.sprintf "seed=%d" seed)
+        Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let t = random_report (Prng.create ~seed) in
+      String.equal (Report.to_csv t) (Csv_oracle.to_csv t)
+      && String.equal (Report.fingerprint t) (Csv_oracle.fingerprint t))
+
+(* Directed: a real detector run, n=64 (clocks far wider than
+   [Format]'s 78-column margin), gets, puts and fetch-adds on shared
+   variables as in the benchmark's random mix. The fingerprint is
+   pinned to the value the Printf/Format serializer produced. *)
+let test_csv_random_mix_n64 () =
+  let sim = Engine.create ~seed:1 () in
+  let m = Machine.create sim ~n:64 () in
+  let d = Detector.create m ~config:Config.default () in
+  Dsm_workload.Random_access.setup (Dsm_pgas.Env.checked d)
+    {
+      Dsm_workload.Random_access.ops_per_proc = 12;
+      vars = 256;
+      var_len = 4;
+      read_fraction = 0.625;
+      atomic_fraction = 0.2;
+      think_mean = 5.0;
+      barrier_every = None;
+      seed = 1;
+    };
+  (match Machine.run m with
+  | Engine.Completed -> ()
+  | _ -> Alcotest.fail "random mix did not complete");
+  let r = Detector.report d in
+  Alcotest.(check int) "race signals" 421 (Report.count r);
+  Alcotest.(check string) "csv = oracle" (Csv_oracle.to_csv r)
+    (Report.to_csv r);
+  Alcotest.(check string) "pinned fingerprint"
+    "c62f0c9d91954ab476df013c17e2d4df" (Report.fingerprint r)
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -661,5 +811,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_decoders_match_oracle;
           Alcotest.test_case "delta fallback (down, zero, duplicate)" `Quick
             test_codec_delta_fallback;
+        ] );
+      ( "race-csv",
+        [
+          QCheck_alcotest.to_alcotest prop_csv_matches_oracle;
+          Alcotest.test_case "n=64 random mix, pinned fingerprint" `Quick
+            test_csv_random_mix_n64;
         ] );
     ]
