@@ -335,11 +335,10 @@ let rep_conv =
   Arg.conv (parse, fun ppf r -> Format.pp_print_string ppf (rep_name r))
 
 let wire_conv =
-  let parse = function
-    | "dense" -> Ok Config.Dense_wire
-    | "sparse" -> Ok Config.Sparse_wire
-    | "delta" -> Ok Config.Delta_wire
-    | s -> Error (`Msg (Printf.sprintf "unknown clock wire encoding %S" s))
+  let parse s =
+    match Config.clock_wire_of_name s with
+    | Ok w -> Ok w
+    | Error msg -> Error (`Msg msg)
   in
   let print ppf w = Format.pp_print_string ppf (Config.clock_wire_name w) in
   Arg.conv (parse, print)

@@ -30,13 +30,8 @@ end)
    round-robin over the (power-of-two many) shards, so word-granularity
    sweeps over a large segment split across every table instead of
    loading one, while a single variable-sized granule always lands
-   wholly in the shard of its base offset. Each shard also owns a
-   scratch clock with the store's representation — the batched
-   coherence path borrows it to fold a batch's clocks without
-   allocating. *)
+   wholly in the shard of its base offset. *)
 let range_bits = 6
-
-type shard = { table : entry Int_tbl.t; scratch : Vector_clock.t }
 
 type t = {
   node : int;
@@ -44,7 +39,7 @@ type t = {
   granularity : Config.granularity;
   rep : Config.clock_rep;
   shard_mask : int;
-  shards : shard array;
+  shards : entry Int_tbl.t array;
   mutable registered : Addr.region list; (* address-sorted *)
 }
 
@@ -64,12 +59,7 @@ let create ~node ~clock_dim ~granularity ?(rep = Config.Sparse_vector)
     granularity;
     rep;
     shard_mask = shards - 1;
-    shards =
-      Array.init shards (fun _ ->
-          {
-            table = Int_tbl.create 64;
-            scratch = make_clock rep ~n:clock_dim;
-          });
+    shards = Array.init shards (fun _ -> Int_tbl.create 64);
     registered = [];
   }
 
@@ -78,8 +68,6 @@ let node t = t.node
 let shards t = Array.length t.shards
 
 let shard_of t ~offset = (offset lsr range_bits) land t.shard_mask
-
-let shard_scratch t ~offset = t.shards.(shard_of t ~offset).scratch
 
 let register t (r : Addr.region) =
   match t.granularity with
@@ -145,7 +133,7 @@ let granules t (r : Addr.region) =
 
 let entry_at t ~offset ~len =
   let key = pack_key ~offset ~len in
-  let table = t.shards.(shard_of t ~offset).table in
+  let table = t.shards.(shard_of t ~offset) in
   match Int_tbl.find_opt table key with
   | Some e -> e
   | None ->
@@ -158,11 +146,11 @@ let entry t (g : Addr.region) = entry_at t ~offset:g.base.offset ~len:g.len
 
 let fold_entries t ~init ~f =
   Array.fold_left
-    (fun acc sh -> Int_tbl.fold (fun _ e acc -> f e acc) sh.table acc)
+    (fun acc table -> Int_tbl.fold (fun _ e acc -> f e acc) table acc)
     init t.shards
 
 let entries t =
-  Array.fold_left (fun acc sh -> acc + Int_tbl.length sh.table) 0 t.shards
+  Array.fold_left (fun acc table -> acc + Int_tbl.length table) 0 t.shards
 
 (* The paper's accounting (§5.1): V plus the W refinement = 2 clocks per
    datum. The sync clock is an extension and is only charged once an

@@ -18,10 +18,8 @@
 
     The store is {e sharded} by address range: 64-word ranges round-robin
     across a power-of-two number of int-keyed tables, bounding any one
-    table's load when word granularity meets large segments. Each shard
-    also owns a scratch clock in the store's representation
-    ({!shard_scratch}) so the batched-coherence path can fold a batch's
-    clocks without allocating. Sharding is invisible to detection:
+    table's load when word granularity meets large segments. Sharding
+    is invisible to detection:
     granule identity, laziness and iteration order are unchanged. *)
 
 type entry = {
@@ -70,12 +68,6 @@ val node : t -> int
 
 val shards : t -> int
 (** Number of address-range shards the granule table is split across. *)
-
-val shard_scratch : t -> offset:int -> Dsm_clocks.Vector_clock.t
-(** The scratch clock owned by the shard responsible for [offset] — in
-    the store's clock representation, reusable between batches. Callers
-    must [Vector_clock.reset] it before use and must not let it escape
-    the current batch. *)
 
 val register : t -> Dsm_memory.Addr.region -> unit
 (** Declares a shared variable ({!Config.Variable} granularity): the

@@ -56,6 +56,15 @@ let clock_wire_name = function
   | Sparse_wire -> "sparse"
   | Delta_wire -> "delta"
 
+let clock_wire_of_name s =
+  match
+    List.find_opt
+      (fun w -> clock_wire_name w = s)
+      [ Dense_wire; Sparse_wire; Delta_wire ]
+  with
+  | Some w -> Ok w
+  | None -> Error (Printf.sprintf "unknown clock wire encoding %S" s)
+
 let validate t =
   (match t.granularity with
   | Block k when k < 1 ->

@@ -83,9 +83,8 @@ type t = {
   store_shards : int;
       (** number of address-range shards each node's [Clock_store] hashes
           its granules across (power of two; default 8). Sharding bounds
-          per-table load when word granularity meets large segments, and
-          gives the batched-coherence path a per-shard scratch clock;
-          it never changes detection results *)
+          per-table load when word granularity meets large segments; it
+          never changes detection results *)
   record_trace : bool;
       (** also feed a [Dsm_trace.Recorder] for offline ground truth *)
   trace_reads_from : [ `All_writers | `Last_writer ];
@@ -129,6 +128,10 @@ val transport_name : transport -> string
 val granularity_name : granularity -> string
 
 val clock_wire_name : clock_wire -> string
+
+val clock_wire_of_name : string -> (clock_wire, string) result
+(** The inverse of {!clock_wire_name} ([dense], [sparse], [delta]); any
+    other string is an [Error] naming it. *)
 
 val validate : t -> t
 (** Checks internal consistency (e.g. positive block size); returns the

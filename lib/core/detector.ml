@@ -135,6 +135,20 @@ let install_control_plane t =
                Vector_clock.merge_words ~into:e.s words ~off:3);
       None)
 
+(* Algorithm 5's clock update under the explicit transport: an async
+   control message merging [v0] into granule [(offset, len)] of [node]
+   as class [code]. The message retains its payload until delivery, so
+   this one allocation is irreducible. *)
+let send_vput t p ~node ~offset ~len ~code v0 =
+  let payload = Array.make (3 + t.dim) 0 in
+  payload.(0) <- offset;
+  payload.(1) <- len;
+  payload.(2) <- code;
+  Vector_clock.store_words v0 payload ~off:3;
+  t.meta_messages <- t.meta_messages + 1;
+  t.clock_words_shipped <- t.clock_words_shipped + t.dim;
+  Machine.control_async p ~target:node ~tag:vput_tag ~words:payload
+
 let create machine ?config ?(verbose = false) () =
   (* An omitted config adopts the machine's memory model — the common
      "default config, whatever the machine runs" construction; an
@@ -387,6 +401,14 @@ let check_granule t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~fv ~fw ~fs
       if t.mh.write_acquires_order then
         Vector_clock.merge_into ~into:absorb fv
 
+(* Under the explicit transport a remote granule's clocks sit behind
+   control messages (Algorithm 5); every other access reaches the
+   granule's store entry directly. *)
+let remote_explicit t ~node ~pid =
+  match t.config.Config.transport with
+  | Config.Explicit_txn -> node <> pid
+  | Config.Inline | Config.Piggyback_txn -> false
+
 (* Check one access (already ticked clock [v0]) against every granule it
    covers, signal incomparabilities, merge [v0] into the granules, and
    return (in the accessor's scratch buffer) the union of the clocks the
@@ -403,11 +425,7 @@ let check_access t p ~(region : Addr.region) ~cls ~v0 ~event_id =
   let pid = Machine.pid p in
   let absorb = t.scratch_absorb.(pid) in
   Vector_clock.reset absorb;
-  let remote_explicit =
-    match t.config.Config.transport with
-    | Config.Explicit_txn -> node <> pid
-    | Config.Inline | Config.Piggyback_txn -> false
-  in
+  let remote_explicit = remote_explicit t ~node ~pid in
   Clock_store.iter_granules store region ~f:(fun ~offset ~len ->
       if remote_explicit then begin
         let words =
@@ -424,16 +442,7 @@ let check_access t p ~(region : Addr.region) ~cls ~v0 ~event_id =
         Vector_clock.load_words fs words ~off:(2 * t.dim);
         check_granule t ~pid ~cls ~v0 ~event_id ~node ~offset ~len ~fv ~fw
           ~fs ~absorb;
-        (* The async update message retains its payload until delivery,
-           so this one allocation is irreducible here. *)
-        let payload = Array.make (3 + t.dim) 0 in
-        payload.(0) <- offset;
-        payload.(1) <- len;
-        payload.(2) <- class_code cls;
-        Vector_clock.store_words v0 payload ~off:3;
-        t.meta_messages <- t.meta_messages + 1;
-        t.clock_words_shipped <- t.clock_words_shipped + t.dim;
-        Machine.control_async p ~target:node ~tag:vput_tag ~words:payload
+        send_vput t p ~node ~offset ~len ~code:(class_code cls) v0
       end
       else begin
         let e = Clock_store.entry_at store ~offset ~len in
@@ -460,125 +469,32 @@ let region_before (a : Addr.region) (b : Addr.region) =
      && (space_rank a.base.space < space_rank b.base.space
         || (a.base.space = b.base.space && a.base.offset < b.base.offset)))
 
-(* The shared body of Algorithms 1 and 2: tick, read-side check and
-   absorption, write-side check, then the transfer provided by [transfer].
-   [read_region] is checked when public; [write_region] always is. *)
-let checked_op t p ~kind ~read_region ~write_region ~transfer =
+(* Every checked access starts here: count the op and emit its one
+   detector-check probe event, then return the accessor's clock. It runs
+   before any transaction lock is taken, so the provenance [op]
+   ordinals and the [fast_path] flags are those at issue time. *)
+let begin_check t p ~kind =
   t.checked_ops <- t.checked_ops + 1;
-  let v0 = t.procs.(Machine.pid p) in
+  let pid = Machine.pid p in
+  let v0 = t.procs.(pid) in
   if t.probe.on then
     Dsm_obs.Probe.emit t.probe
       (Detector_check
-         {
-           time = now t;
-           pid = Machine.pid p;
-           kind;
-           fast_path = Vector_clock.is_epoch v0;
-         });
-  let body () =
-    Vector_clock.tick v0 ~me:(me t p);
-    if Addr.is_public read_region then begin
-      let event_id = record_access t p ~kind:Event.Read ~target:read_region in
-      let absorbed =
-        check_access t p ~region:read_region ~cls:Plain_read ~v0 ~event_id
-      in
-      (* The reader absorbs the causal history of the writes it observed:
-         this is what orders Figure 5b's m3 after m1. *)
-      Vector_clock.merge_into ~into:v0 absorbed;
-      if t.probe.on then
-        Dsm_obs.Probe.emit t.probe
-          (Clock_merge { time = now t; pid = Machine.pid p })
-    end;
-    if Addr.is_public write_region then begin
-      let event_id =
-        record_access t p ~kind:Event.Write ~target:write_region
-      in
-      let absorbed =
-        check_access t p ~region:write_region ~cls:Plain_write ~v0 ~event_id
-      in
-      (* under total store order the writer absorbs the granule's whole
-         history; under every weaker model [absorbed] is empty here *)
-      if t.mh.write_acquires_order then
-        Vector_clock.merge_into ~into:v0 absorbed
-    end;
-    transfer ()
-  in
-  match t.config.Config.transport with
-  | Config.Inline -> body ()
-  | Config.Piggyback_txn | Config.Explicit_txn ->
-      let first, second =
-        if
-          t.config.Config.ordered_locking
-          && region_before write_region read_region
-        then (write_region, read_region)
-        else (read_region, write_region)
-      in
-      let tk1 = Machine.lock p first in
-      let tk2 = Machine.lock p second in
-      body ();
-      Machine.unlock p tk2;
-      Machine.unlock p tk1
+         { time = now t; pid; kind; fast_path = Vector_clock.is_epoch v0 });
+  v0
 
-let count_shipped t msgs =
-  t.clock_words_shipped <- t.clock_words_shipped + (piggyback_words t * msgs)
-
-let put t p ~src ~dst =
-  let extra_words = piggyback_words t in
-  let transfer () =
-    match t.config.Config.transport with
-    | Config.Inline ->
-        count_shipped t 1;
-        Machine.put p ~src ~dst ~extra_words ()
-    | Config.Piggyback_txn | Config.Explicit_txn ->
-        count_shipped t 1;
-        Machine.raw_put p ~src ~dst ~extra_words ()
-  in
-  checked_op t p ~kind:"put" ~read_region:src ~write_region:dst ~transfer
-
-let get t p ~src ~dst =
-  let extra_words = piggyback_words t in
-  let transfer () =
-    match t.config.Config.transport with
-    | Config.Inline ->
-        count_shipped t 2;
-        Machine.get p ~src ~dst ~extra_words ()
-    | Config.Piggyback_txn | Config.Explicit_txn ->
-        count_shipped t 2;
-        Machine.raw_get p ~src ~dst ~extra_words ()
-  in
-  checked_op t p ~kind:"get" ~read_region:src ~write_region:dst ~transfer
-
-(* ---------- batched checked operations ----------
-
-   Group maximal runs of same-destination, address-ascending operations
-   and move each run's data in one fabric message. Detection stays
-   strictly per-operation — the same ticks, granule checks and merges as
-   the unbatched path, so the race verdicts are identical — only the
-   transport is coalesced: one message, one lock span, one piggybacked
-   clock per run instead of one per op. *)
-
-(* Detection body of one operation (tick, read-side check/absorb,
-   write-side check) without locks or data transfer — the batched paths
-   interleave several of these inside a single lock span. Mirrors
-   [checked_op]'s body exactly. *)
-let check_op t p ~kind ~read_region ~write_region =
-  t.checked_ops <- t.checked_ops + 1;
-  let v0 = t.procs.(Machine.pid p) in
-  if t.probe.on then
-    Dsm_obs.Probe.emit t.probe
-      (Detector_check
-         {
-           time = now t;
-           pid = Machine.pid p;
-           kind;
-           fast_path = Vector_clock.is_epoch v0;
-         });
+(* The detection body of Algorithms 1 and 2, without locks or transfer:
+   tick, read-side check and absorption, then the write-side check.
+   [read_region] is checked when public, and so is [write_region]. *)
+let check_body t p ~v0 ~read_region ~write_region =
   Vector_clock.tick v0 ~me:(me t p);
   if Addr.is_public read_region then begin
     let event_id = record_access t p ~kind:Event.Read ~target:read_region in
     let absorbed =
       check_access t p ~region:read_region ~cls:Plain_read ~v0 ~event_id
     in
+    (* The reader absorbs the causal history of the writes it observed:
+       this is what orders Figure 5b's m3 after m1. *)
     Vector_clock.merge_into ~into:v0 absorbed;
     if t.probe.on then
       Dsm_obs.Probe.emit t.probe
@@ -589,9 +505,62 @@ let check_op t p ~kind ~read_region ~write_region =
     let absorbed =
       check_access t p ~region:write_region ~cls:Plain_write ~v0 ~event_id
     in
-    if t.mh.write_acquires_order then
-      Vector_clock.merge_into ~into:v0 absorbed
+    (* under total store order the writer absorbs the granule's whole
+       history; under every weaker model [absorbed] is empty here *)
+    if t.mh.write_acquires_order then Vector_clock.merge_into ~into:v0 absorbed
   end
+
+(* One checked put or get: the detection body, then the data movement
+   [transfer], inside the transaction's lock span (none under Inline,
+   where the NIC operation locks for itself). *)
+let checked_op t p ~kind ~read_region ~write_region ~transfer =
+  let v0 = begin_check t p ~kind in
+  match t.config.Config.transport with
+  | Config.Inline ->
+      check_body t p ~v0 ~read_region ~write_region;
+      transfer ()
+  | Config.Piggyback_txn | Config.Explicit_txn ->
+      let first, second =
+        if
+          t.config.Config.ordered_locking
+          && region_before write_region read_region
+        then (write_region, read_region)
+        else (read_region, write_region)
+      in
+      let tk1 = Machine.lock p first in
+      let tk2 = Machine.lock p second in
+      check_body t p ~v0 ~read_region ~write_region;
+      transfer ();
+      Machine.unlock p tk2;
+      Machine.unlock p tk1
+
+let put t p ~src ~dst =
+  let extra_words = piggyback_words t in
+  checked_op t p ~kind:"put" ~read_region:src ~write_region:dst
+    ~transfer:(fun () ->
+      match t.config.Config.transport with
+      | Config.Inline -> Machine.put p ~src ~dst ~extra_words ()
+      | Config.Piggyback_txn | Config.Explicit_txn ->
+          Machine.raw_put p ~src ~dst ~extra_words ())
+
+let get t p ~src ~dst =
+  let extra_words = piggyback_words t in
+  checked_op t p ~kind:"get" ~read_region:src ~write_region:dst
+    ~transfer:(fun () ->
+      match t.config.Config.transport with
+      | Config.Inline -> Machine.get p ~src ~dst ~extra_words ()
+      | Config.Piggyback_txn | Config.Explicit_txn ->
+          Machine.raw_get p ~src ~dst ~extra_words ())
+
+(* ---------- batched checked operations ----------
+
+   Group maximal runs of same-destination, address-ascending operations
+   and move each run's data in one fabric message. Detection stays
+   strictly per-operation — the same ticks, granule checks and merges as
+   the unbatched path, so the race verdicts are identical — only the
+   transport is coalesced: one message, one lock span, one piggybacked
+   clock per run instead of one per op. The explicit transport pays its
+   control round trips per granule either way, so it never batches. *)
 
 (* Maximal runs of consecutive pairs satisfying [key prev cur]. *)
 let group_runs ~key pairs =
@@ -616,50 +585,56 @@ let span_of (first : Addr.region) (last : Addr.region) =
     ~offset:first.base.offset
     ~len:(last.base.offset + last.len - first.base.offset)
 
-let last_of run = snd (List.nth run (List.length run - 1))
+let last_of run = List.nth run (List.length run - 1)
 
-(* A run of puts is batchable when the destinations sit on one node in
-   ascending non-overlapping order and no source is public (a public
-   source would need its own read-side lock, breaking the single-span
-   locking scheme — those fall back to per-op puts). *)
-let put_run t p run =
+(* One run of [single] ops (put or get) moved as one batch. [remote]
+   picks a pair's region on the run's node, whose span one lock covers;
+   [local] its other region, which must not be public (a public local
+   region would need its own lock, breaking the single-span scheme —
+   such runs fall back to per-op [single]). [nic_batch] is the NIC's
+   self-locking batch (Inline), [raw_batch] the lock-free one moved
+   under the detector's span lock (Piggyback_txn). *)
+let checked_run t p ~kind ~remote ~local ~single ~nic_batch ~raw_batch run =
   match run with
   | [] -> ()
-  | [ (src, dst) ] -> put t p ~src ~dst
-  | ((_, (dst0 : Addr.region)) :: _ : (Addr.region * Addr.region) list) ->
-      if List.exists (fun ((src : Addr.region), _) -> Addr.is_public src) run
-      then List.iter (fun (src, dst) -> put t p ~src ~dst) run
+  | [ (src, dst) ] -> single t p ~src ~dst
+  | first :: _ ->
+      if List.exists (fun pair -> Addr.is_public (local pair)) run then
+        List.iter (fun (src, dst) -> single t p ~src ~dst) run
       else begin
         let extra_words = piggyback_words t in
         let check (src, dst) =
-          check_op t p ~kind:"put" ~read_region:src ~write_region:dst
+          let v0 = begin_check t p ~kind in
+          check_body t p ~v0 ~read_region:src ~write_region:dst
         in
         match t.config.Config.transport with
         | Config.Inline ->
             List.iter check run;
-            count_shipped t 1;
-            Machine.put_batch p ~pairs:run ~extra_words ()
-        | Config.Piggyback_txn ->
+            nic_batch p ~pairs:run ~extra_words
+        | Config.Piggyback_txn | Config.Explicit_txn ->
             (* one lock acquisition spanning the whole run instead of
-               one per put (Algorithm 1, amortized) *)
-            let span = span_of dst0 (last_of run) in
-            let tk = Machine.lock p span in
+               one per op (Algorithms 1–2, amortized) *)
+            let tk =
+              Machine.lock p (span_of (remote first) (remote (last_of run)))
+            in
             List.iter check run;
-            count_shipped t 1;
-            Machine.raw_put_batch p ~pairs:run ~extra_words ();
+            raw_batch p ~pairs:run ~extra_words;
             Machine.unlock p tk
-        | Config.Explicit_txn ->
-            List.iter (fun (src, dst) -> put t p ~src ~dst) run
       end
 
+(* A run of puts is batchable when the destinations sit on one node in
+   ascending non-overlapping order and no source is public. *)
 let put_batch t p ~pairs =
   match t.config.Config.transport with
   | Config.Explicit_txn ->
-      (* the explicit transport pays its control round trips per granule
-         either way; batching the data message would not change them *)
       List.iter (fun (src, dst) -> put t p ~src ~dst) pairs
   | Config.Inline | Config.Piggyback_txn ->
-      List.iter (put_run t p)
+      List.iter
+        (checked_run t p ~kind:"put" ~remote:snd ~local:fst ~single:put
+           ~nic_batch:(fun p ~pairs ~extra_words ->
+             Machine.put_batch p ~pairs ~extra_words ())
+           ~raw_batch:(fun p ~pairs ~extra_words ->
+             Machine.raw_put_batch p ~pairs ~extra_words ()))
         (group_runs pairs
            ~key:(fun (_, (prev : Addr.region)) (_, (cur : Addr.region)) ->
              cur.base.pid = prev.base.pid
@@ -669,41 +644,17 @@ let put_batch t p ~pairs =
 (* Gets batch when the sources are contiguous ascending spans of one
    node and no destination is public (Figure 3 would demand a lock per
    public destination). *)
-let get_run t p run =
-  match run with
-  | [] -> ()
-  | [ (src, dst) ] -> get t p ~src ~dst
-  | (((src0 : Addr.region), _) :: _ : (Addr.region * Addr.region) list) ->
-      if List.exists (fun (_, (dst : Addr.region)) -> Addr.is_public dst) run
-      then List.iter (fun (src, dst) -> get t p ~src ~dst) run
-      else begin
-        let extra_words = piggyback_words t in
-        let check (src, dst) =
-          check_op t p ~kind:"get" ~read_region:src ~write_region:dst
-        in
-        match t.config.Config.transport with
-        | Config.Inline ->
-            List.iter check run;
-            count_shipped t 2;
-            Machine.get_batch p ~pairs:run ~extra_words ()
-        | Config.Piggyback_txn ->
-            let span = span_of src0 (fst (List.nth run (List.length run - 1)))
-            in
-            let tk = Machine.lock p span in
-            List.iter check run;
-            count_shipped t 2;
-            Machine.raw_get_batch p ~pairs:run ~extra_words ();
-            Machine.unlock p tk
-        | Config.Explicit_txn ->
-            List.iter (fun (src, dst) -> get t p ~src ~dst) run
-      end
-
 let get_batch t p ~pairs =
   match t.config.Config.transport with
   | Config.Explicit_txn ->
       List.iter (fun (src, dst) -> get t p ~src ~dst) pairs
   | Config.Inline | Config.Piggyback_txn ->
-      List.iter (get_run t p)
+      List.iter
+        (checked_run t p ~kind:"get" ~remote:fst ~local:snd ~single:get
+           ~nic_batch:(fun p ~pairs ~extra_words ->
+             Machine.get_batch p ~pairs ~extra_words ())
+           ~raw_batch:(fun p ~pairs ~extra_words ->
+             Machine.raw_get_batch p ~pairs ~extra_words ()))
         (group_runs pairs
            ~key:(fun ((prev : Addr.region), _) ((cur : Addr.region), _) ->
              cur.base.pid = prev.base.pid
@@ -725,7 +676,7 @@ let get_batch t p ~pairs =
 
    [read_src] is a local staging region some RMWs (accumulate) read
    their operands from; when it is public it gets its own plain-read
-   check, like [checked_op]'s read side. *)
+   check, like [check_body]'s read side. *)
 
 (* Release the accessor's pre-RMW history into the granule's S clocks
    BEFORE the fabric round trip. The target NIC serializes RMWs on a
@@ -745,47 +696,25 @@ let release_rmw_history t p ~(region : Addr.region) =
   let pid = Machine.pid p in
   let v0 = t.procs.(pid) in
   let store = t.stores.(node) in
-  let remote_explicit =
-    match t.config.Config.transport with
-    | Config.Explicit_txn -> node <> pid
-    | Config.Inline | Config.Piggyback_txn -> false
-  in
+  let remote_explicit = remote_explicit t ~node ~pid in
   (* a remote explicit release is recorded where it lands, in the vput
      handler *)
   if not remote_explicit then record_rmw_release t ~pid ~target:region;
   Clock_store.iter_granules store region ~f:(fun ~offset ~len ->
-      if remote_explicit then begin
-        let payload = Array.make (3 + t.dim) 0 in
-        payload.(0) <- offset;
-        payload.(1) <- len;
-        payload.(2) <- s_release_code;
-        Vector_clock.store_words v0 payload ~off:3;
-        t.meta_messages <- t.meta_messages + 1;
-        t.clock_words_shipped <- t.clock_words_shipped + t.dim;
-        Machine.control_async p ~target:node ~tag:vput_tag ~words:payload
-      end
+      if remote_explicit then
+        send_vput t p ~node ~offset ~len ~code:s_release_code v0
       else
         let e = Clock_store.entry_at store ~offset ~len in
         Vector_clock.merge_into ~into:e.s v0)
   end
 
 let checked_rmw t p ?read_src ~(region : Addr.region) ~run_op () =
-  count_shipped t 2;
   release_rmw_history t p ~region;
   let result, wrote = run_op ~extra_words:(piggyback_words t) in
-  t.checked_ops <- t.checked_ops + 1;
-  let pid = Machine.pid p in
-  let v0 = t.procs.(pid) in
-  if t.probe.on then
-    Dsm_obs.Probe.emit t.probe
-      (Detector_check
-         {
-           time = now t;
-           pid;
-           kind = "atomic";
-           fast_path = Vector_clock.is_epoch v0;
-         });
+  let v0 = begin_check t p ~kind:"atomic" in
   Vector_clock.tick v0 ~me:(me t p);
+  (* the staging read absorbs like [check_body]'s read side, but the
+     RMW's one [Clock_merge] event comes after its own check *)
   (match read_src with
   | Some r when Addr.is_public r ->
       let event_id = record_access t p ~kind:Event.Read ~target:r in
@@ -798,7 +727,8 @@ let checked_rmw t p ?read_src ~(region : Addr.region) ~run_op () =
   let absorbed = check_access t p ~region ~cls:(Rmw { wrote }) ~v0 ~event_id in
   Vector_clock.merge_into ~into:v0 absorbed;
   if t.probe.on then
-    Dsm_obs.Probe.emit t.probe (Clock_merge { time = now t; pid });
+    Dsm_obs.Probe.emit t.probe
+      (Clock_merge { time = now t; pid = Machine.pid p });
   result
 
 let check_rmw_target (target : Addr.global) =
@@ -830,10 +760,14 @@ let accumulate t p ~src ~(dst : Addr.region) ~aop =
       (Machine.accumulate p ~src ~dst ~aop ~extra_words (), true))
     ()
 
-let record_lock t ~pid ~phase ~lock ~time =
+(* Trace-records a user-level lock event. Note that the paper's clocks
+   do not propagate through user locks, so lock-synchronized programs
+   can produce false positives — measured in E8/E9. *)
+let record_lock t p ~phase (r : Addr.region) =
   match t.recorder with
   | None -> ()
   | Some rec_ -> (
+      let time = now t and pid = Machine.pid p and lock = Addr.to_string r in
       match phase with
       | `Acquire -> ignore (Recorder.lock_acquire rec_ ~time ~pid ~lock)
       | `Release -> ignore (Recorder.lock_release rec_ ~time ~pid ~lock))
@@ -855,9 +789,7 @@ let lock_clock t (r : Addr.region) =
 
 let lock t p (r : Addr.region) =
   let token = Machine.lock p r in
-  if t.recorder <> None then
-    record_lock t ~pid:(Machine.pid p) ~phase:`Acquire
-      ~lock:(Addr.to_string r) ~time:(now t);
+  record_lock t p ~phase:`Acquire r;
   if t.config.Config.lock_aware_clocks then begin
     let v0 = t.procs.(Machine.pid p) in
     Vector_clock.tick v0 ~me:(me t p);
@@ -874,9 +806,7 @@ let unlock t p h =
     Vector_clock.tick v0 ~me:(me t p);
     Vector_clock.merge_into ~into:(lock_clock t h.lock_region) v0
   end;
-  if t.recorder <> None then
-    record_lock t ~pid:(Machine.pid p) ~phase:`Release
-      ~lock:(Addr.to_string h.lock_region) ~time:(now t);
+  record_lock t p ~phase:`Release h.lock_region;
   Machine.unlock p h.token
 
 let barrier_sync t =
@@ -909,9 +839,7 @@ let meta_messages t = t.meta_messages
 
 (* Under the piggyback transports the true cost is what the machine's
    encoder actually shipped (delta/sparse/dense per [clock_wire]); the
-   [count_shipped] field keeps the nominal dense allowance for the
-   latency model's books. Explicit transport still counts its control
-   payload words directly. *)
+   explicit transport counts its control payload words itself. *)
 let clock_words_shipped t =
   match t.config.Config.transport with
   | Config.Inline | Config.Piggyback_txn -> Machine.clock_words_sent t.machine

@@ -86,16 +86,12 @@ let of_string s =
                 Ok { t with latency }
             | "w" ->
                 let* clock_wire =
-                  match v with
-                  | "dense" -> Ok Dsm_core.Config.Dense_wire
-                  | "sparse" -> Ok Dsm_core.Config.Sparse_wire
-                  | "delta" -> Ok Dsm_core.Config.Delta_wire
-                  | _ ->
-                      Error
-                        (Printf.sprintf
-                           "replay token: w must be dense, sparse or delta, \
-                            got %s"
-                           v)
+                  Result.map_error
+                    (fun _ ->
+                      Printf.sprintf
+                        "replay token: w must be dense, sparse or delta, got %s"
+                        v)
+                    (Dsm_core.Config.clock_wire_of_name v)
                 in
                 Ok { t with clock_wire }
             | "m" ->

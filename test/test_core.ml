@@ -795,26 +795,6 @@ let test_store_sharding_invisible () =
       Alcotest.(check bool) "stable physical entry" true (a == b))
     [ s1; s8 ]
 
-let test_store_shard_scratch () =
-  let s =
-    Clock_store.create ~node:0 ~clock_dim:16 ~granularity:Config.Word
-      ~rep:Config.Sparse_vector ~shards:4 ()
-  in
-  let a = Clock_store.shard_scratch s ~offset:0 in
-  let b = Clock_store.shard_scratch s ~offset:63 in
-  let c = Clock_store.shard_scratch s ~offset:64 in
-  Alcotest.(check bool) "same range, same scratch" true (a == b);
-  Alcotest.(check bool) "next range, next shard" true (not (a == c));
-  (* round-robin: 4 shards x 64-word ranges wrap at offset 256 *)
-  let w = Clock_store.shard_scratch s ~offset:(4 * 64) in
-  Alcotest.(check bool) "ranges wrap round-robin" true (a == w);
-  Alcotest.(check bool) "scratch in store rep" true
-    (Dsm_clocks.Vector_clock.rep a = Dsm_clocks.Vector_clock.Sparse);
-  Dsm_clocks.Vector_clock.reset a;
-  Dsm_clocks.Vector_clock.tick a ~me:2;
-  Alcotest.(check int) "scratch usable after reset" 1
-    (Dsm_clocks.Vector_clock.entry a 2)
-
 (* The same equivalence as a property over arbitrary seeds. *)
 let prop_ground_truth_equivalence =
   QCheck.Test.make ~name:"online detector = offline HB (random seeds)"
@@ -1049,7 +1029,6 @@ let () =
             test_store_shard_validation;
           Alcotest.test_case "sharding invisible" `Quick
             test_store_sharding_invisible;
-          Alcotest.test_case "shard scratch" `Quick test_store_shard_scratch;
         ] );
       ( "ground-truth",
         [

@@ -126,7 +126,8 @@ let run_digest ~transport ~record_trace ~clock_rep ~n ~seed =
                 Detector.get d p ~src:cell ~dst:scratch;
                 Detector.put d p ~src:scratch ~dst:cell;
                 Detector.unlock d p h);
-            if (i + 1) mod barrier_every = 0 then Collectives.barrier collectives p)
+            if (i + 1) mod barrier_every = 0 then
+              Collectives.barrier collectives p)
           plan)
   done;
   let outcome =

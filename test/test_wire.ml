@@ -309,6 +309,45 @@ let test_replay_across_wires () =
   Alcotest.(check string) "fingerprint blind to wire" (fp Config.Dense_wire)
     (fp Config.Delta_wire)
 
+(* ---------- wire names ---------- *)
+
+(* One name table serves the CLI's --clock-wire and the token's [w=]
+   field: every name round-trips, and an unknown one is a clean [Error]
+   with each caller's own message. *)
+let test_wire_names () =
+  List.iter
+    (fun w ->
+      let name = Config.clock_wire_name w in
+      Alcotest.(check bool)
+        (name ^ " round-trips")
+        true
+        (Config.clock_wire_of_name name = Ok w);
+      match
+        Token.of_string
+          (Printf.sprintf
+             "dsm1|s=getput|n=2|seed=1|w=%s|f=none|r=0|b=0|me=200000|d=" name)
+      with
+      | Ok tok ->
+          Alcotest.(check string)
+            (name ^ " token field")
+            name
+            (Config.clock_wire_name tok.Token.clock_wire)
+      | Error e -> Alcotest.failf "w=%s rejected: %s" name e)
+    [ Config.Dense_wire; Config.Sparse_wire; Config.Delta_wire ];
+  Alcotest.(check bool)
+    "unknown name" true
+    (Config.clock_wire_of_name "bogus"
+    = Error "unknown clock wire encoding \"bogus\"");
+  match
+    Token.of_string
+      "dsm1|s=getput|n=2|seed=1|w=bogus|f=none|r=0|b=0|me=200000|d="
+  with
+  | Ok _ -> Alcotest.fail "w=bogus accepted"
+  | Error e ->
+      Alcotest.(check string)
+        "token error" "replay token: w must be dense, sparse or delta, got bogus"
+        e
+
 let () =
   Alcotest.run "wire"
     [
@@ -337,4 +376,5 @@ let () =
           Alcotest.test_case "replay across wires" `Quick
             test_replay_across_wires;
         ] );
+      ("names", [ Alcotest.test_case "wire names" `Quick test_wire_names ]);
     ]
