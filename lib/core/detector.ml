@@ -511,46 +511,41 @@ let check_body t p ~v0 ~read_region ~write_region =
   end
 
 (* One checked put or get: the detection body, then the data movement
-   [transfer], inside the transaction's lock span (none under Inline,
-   where the NIC operation locks for itself). *)
-let checked_op t p ~kind ~read_region ~write_region ~transfer =
+   inside the transaction's lock span — [raw] under the transaction
+   transports, or under Inline [nic], the NIC's self-locking op. *)
+let checked_op t p ~kind ~src ~dst ~nic ~raw =
   let v0 = begin_check t p ~kind in
+  let extra_words = piggyback_words t in
   match t.config.Config.transport with
   | Config.Inline ->
-      check_body t p ~v0 ~read_region ~write_region;
-      transfer ()
+      check_body t p ~v0 ~read_region:src ~write_region:dst;
+      nic p ~src ~dst ~extra_words
   | Config.Piggyback_txn | Config.Explicit_txn ->
       let first, second =
-        if
-          t.config.Config.ordered_locking
-          && region_before write_region read_region
-        then (write_region, read_region)
-        else (read_region, write_region)
+        if t.config.Config.ordered_locking && region_before dst src then
+          (dst, src)
+        else (src, dst)
       in
       let tk1 = Machine.lock p first in
       let tk2 = Machine.lock p second in
-      check_body t p ~v0 ~read_region ~write_region;
-      transfer ();
+      check_body t p ~v0 ~read_region:src ~write_region:dst;
+      raw p ~src ~dst ~extra_words;
       Machine.unlock p tk2;
       Machine.unlock p tk1
 
 let put t p ~src ~dst =
-  let extra_words = piggyback_words t in
-  checked_op t p ~kind:"put" ~read_region:src ~write_region:dst
-    ~transfer:(fun () ->
-      match t.config.Config.transport with
-      | Config.Inline -> Machine.put p ~src ~dst ~extra_words ()
-      | Config.Piggyback_txn | Config.Explicit_txn ->
-          Machine.raw_put p ~src ~dst ~extra_words ())
+  checked_op t p ~kind:"put" ~src ~dst
+    ~nic:(fun p ~src ~dst ~extra_words ->
+      Machine.put p ~src ~dst ~extra_words ())
+    ~raw:(fun p ~src ~dst ~extra_words ->
+      Machine.raw_put p ~src ~dst ~extra_words ())
 
 let get t p ~src ~dst =
-  let extra_words = piggyback_words t in
-  checked_op t p ~kind:"get" ~read_region:src ~write_region:dst
-    ~transfer:(fun () ->
-      match t.config.Config.transport with
-      | Config.Inline -> Machine.get p ~src ~dst ~extra_words ()
-      | Config.Piggyback_txn | Config.Explicit_txn ->
-          Machine.raw_get p ~src ~dst ~extra_words ())
+  checked_op t p ~kind:"get" ~src ~dst
+    ~nic:(fun p ~src ~dst ~extra_words ->
+      Machine.get p ~src ~dst ~extra_words ())
+    ~raw:(fun p ~src ~dst ~extra_words ->
+      Machine.raw_get p ~src ~dst ~extra_words ())
 
 (* ---------- batched checked operations ----------
 
@@ -559,8 +554,7 @@ let get t p ~src ~dst =
    strictly per-operation — the same ticks, granule checks and merges as
    the unbatched path, so the race verdicts are identical — only the
    transport is coalesced: one message, one lock span, one piggybacked
-   clock per run instead of one per op. The explicit transport pays its
-   control round trips per granule either way, so it never batches. *)
+   clock per run instead of one per op. *)
 
 (* Maximal runs of consecutive pairs satisfying [key prev cur]. *)
 let group_runs ~key pairs =
@@ -587,78 +581,78 @@ let span_of (first : Addr.region) (last : Addr.region) =
 
 let last_of run = List.nth run (List.length run - 1)
 
-(* One run of [single] ops (put or get) moved as one batch. [remote]
-   picks a pair's region on the run's node, whose span one lock covers;
-   [local] its other region, which must not be public (a public local
-   region would need its own lock, breaking the single-span scheme —
-   such runs fall back to per-op [single]). [nic_batch] is the NIC's
-   self-locking batch (Inline), [raw_batch] the lock-free one moved
-   under the detector's span lock (Piggyback_txn). *)
-let checked_run t p ~kind ~remote ~local ~single ~nic_batch ~raw_batch run =
-  match run with
+(* The per-op detection of a batched run, in order; a loop rather than
+   a closure, so a batch allocates nothing per run. *)
+let rec check_run t p ~kind = function
   | [] -> ()
-  | [ (src, dst) ] -> single t p ~src ~dst
-  | first :: _ ->
-      if List.exists (fun pair -> Addr.is_public (local pair)) run then
-        List.iter (fun (src, dst) -> single t p ~src ~dst) run
-      else begin
-        let extra_words = piggyback_words t in
-        let check (src, dst) =
-          let v0 = begin_check t p ~kind in
-          check_body t p ~v0 ~read_region:src ~write_region:dst
-        in
-        match t.config.Config.transport with
-        | Config.Inline ->
-            List.iter check run;
-            nic_batch p ~pairs:run ~extra_words
-        | Config.Piggyback_txn | Config.Explicit_txn ->
-            (* one lock acquisition spanning the whole run instead of
-               one per op (Algorithms 1–2, amortized) *)
-            let tk =
-              Machine.lock p (span_of (remote first) (remote (last_of run)))
-            in
-            List.iter check run;
-            raw_batch p ~pairs:run ~extra_words;
-            Machine.unlock p tk
-      end
+  | (src, dst) :: rest ->
+      let v0 = begin_check t p ~kind in
+      check_body t p ~v0 ~read_region:src ~write_region:dst;
+      check_run t p ~kind rest
+
+(* One run of [single] ops (put or get), moved as one batch when it can
+   be. [remote] picks a pair's region on the run's node; one lock over
+   their span covers the run. A run falls back to per-op [single] when
+   a pair's other region is public ([local_public]: it would need its
+   own lock, breaking the single-span scheme), and under the explicit
+   transport, which pays its control round trips per granule either
+   way. [nic_batch] is the NIC's self-locking batch (Inline), [raw_batch]
+   the lock-free one moved under the detector's span lock. *)
+let checked_run t p ~kind ~remote ~local_public ~single ~nic_batch ~raw_batch
+    run =
+  match (t.config.Config.transport, run) with
+  | _, [ (src, dst) ] -> single t p ~src ~dst
+  | Config.Inline, _ :: _ :: _ when not (List.exists local_public run) ->
+      check_run t p ~kind run;
+      nic_batch p ~pairs:run ~extra_words:(piggyback_words t)
+  | Config.Piggyback_txn, first :: _ :: _
+    when not (List.exists local_public run) ->
+      (* one lock acquisition spanning the whole run instead of one per
+         op (Algorithms 1–2, amortized) *)
+      let tk = Machine.lock p (span_of (remote first) (remote (last_of run))) in
+      check_run t p ~kind run;
+      raw_batch p ~pairs:run ~extra_words:(piggyback_words t);
+      Machine.unlock p tk
+  | (Config.Inline | Config.Piggyback_txn | Config.Explicit_txn), _ ->
+      List.iter (fun (src, dst) -> single t p ~src ~dst) run
 
 (* A run of puts is batchable when the destinations sit on one node in
    ascending non-overlapping order and no source is public. *)
 let put_batch t p ~pairs =
-  match t.config.Config.transport with
-  | Config.Explicit_txn ->
-      List.iter (fun (src, dst) -> put t p ~src ~dst) pairs
-  | Config.Inline | Config.Piggyback_txn ->
-      List.iter
-        (checked_run t p ~kind:"put" ~remote:snd ~local:fst ~single:put
-           ~nic_batch:(fun p ~pairs ~extra_words ->
-             Machine.put_batch p ~pairs ~extra_words ())
-           ~raw_batch:(fun p ~pairs ~extra_words ->
-             Machine.raw_put_batch p ~pairs ~extra_words ()))
-        (group_runs pairs
-           ~key:(fun (_, (prev : Addr.region)) (_, (cur : Addr.region)) ->
-             cur.base.pid = prev.base.pid
-             && Addr.is_public cur
-             && cur.base.offset >= prev.base.offset + prev.len))
+  List.iter
+    (fun run ->
+      checked_run t p ~kind:"put" ~remote:snd
+        ~local_public:(fun ((src : Addr.region), _) -> Addr.is_public src)
+        ~single:put
+        ~nic_batch:(fun p ~pairs ~extra_words ->
+          Machine.put_batch p ~pairs ~extra_words ())
+        ~raw_batch:(fun p ~pairs ~extra_words ->
+          Machine.raw_put_batch p ~pairs ~extra_words ())
+        run)
+    (group_runs pairs
+       ~key:(fun (_, (prev : Addr.region)) (_, (cur : Addr.region)) ->
+         cur.base.pid = prev.base.pid
+         && Addr.is_public cur
+         && cur.base.offset >= prev.base.offset + prev.len))
 
 (* Gets batch when the sources are contiguous ascending spans of one
    node and no destination is public (Figure 3 would demand a lock per
    public destination). *)
 let get_batch t p ~pairs =
-  match t.config.Config.transport with
-  | Config.Explicit_txn ->
-      List.iter (fun (src, dst) -> get t p ~src ~dst) pairs
-  | Config.Inline | Config.Piggyback_txn ->
-      List.iter
-        (checked_run t p ~kind:"get" ~remote:fst ~local:snd ~single:get
-           ~nic_batch:(fun p ~pairs ~extra_words ->
-             Machine.get_batch p ~pairs ~extra_words ())
-           ~raw_batch:(fun p ~pairs ~extra_words ->
-             Machine.raw_get_batch p ~pairs ~extra_words ()))
-        (group_runs pairs
-           ~key:(fun ((prev : Addr.region), _) ((cur : Addr.region), _) ->
-             cur.base.pid = prev.base.pid
-             && cur.base.offset = prev.base.offset + prev.len))
+  List.iter
+    (fun run ->
+      checked_run t p ~kind:"get" ~remote:fst
+        ~local_public:(fun (_, (dst : Addr.region)) -> Addr.is_public dst)
+        ~single:get
+        ~nic_batch:(fun p ~pairs ~extra_words ->
+          Machine.get_batch p ~pairs ~extra_words ())
+        ~raw_batch:(fun p ~pairs ~extra_words ->
+          Machine.raw_get_batch p ~pairs ~extra_words ())
+        run)
+    (group_runs pairs
+       ~key:(fun ((prev : Addr.region), _) ((cur : Addr.region), _) ->
+         cur.base.pid = prev.base.pid
+         && cur.base.offset = prev.base.offset + prev.len))
 
 (* Checked one-sided read-modify-writes (extension beyond the paper).
 
@@ -760,9 +754,6 @@ let accumulate t p ~src ~(dst : Addr.region) ~aop =
       (Machine.accumulate p ~src ~dst ~aop ~extra_words (), true))
     ()
 
-(* Trace-records a user-level lock event. Note that the paper's clocks
-   do not propagate through user locks, so lock-synchronized programs
-   can produce false positives — measured in E8/E9. *)
 let record_lock t p ~phase (r : Addr.region) =
   match t.recorder with
   | None -> ()
